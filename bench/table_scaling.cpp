@@ -8,9 +8,7 @@
 //
 // Wall-clock cells are intentionally present (unlike the protocol tables,
 // this file IS the perf trajectory); the bench-smoke shape gate ignores
-// cell values. Run with NAMPC_SCALING_BASELINE=1 to measure the
-// pre-scaling-engine code paths — the "baseline" note records which mode
-// produced the file.
+// cell values.
 //
 // --smoke: runs only the n=64 synchronous WSS cell and exits nonzero unless
 // every honest party got rows and the invariant monitors stayed clean — the
@@ -340,10 +338,6 @@ int main(int argc, char** argv) {
                "volume and allocation behaviour vs n, plus kernel curves "
                "for the batched RS encode and the incremental Star.\n";
   bench::BenchReport report("scaling");
-  report.note("baseline",
-              scaling_baseline() ? "NAMPC_SCALING_BASELINE (pre-engine "
-                                   "paths)"
-                                 : "scaling engine enabled");
 
   const std::vector<NetworkKind> kinds = {NetworkKind::synchronous,
                                           NetworkKind::asynchronous};

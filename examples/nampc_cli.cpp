@@ -10,7 +10,8 @@
 //     --seed S                   simulation seed (default 1)
 //     --delta D                  synchronous bound Δ (default 10)
 //     --ideal                    ideal-functionality SBA/ABA gadgets
-//     --adversary silent|garble  corrupt the last budget-many parties
+//     --adversary A              none (default) | silent | garble: corrupt
+//                                the last budget-many parties
 //     --secrets L                batch width for wss/vss (default 1)
 //
 //   transport backends (wss | vss | mpc):
@@ -34,7 +35,7 @@
 //     --rawtrace FILE            write an analysable trace (schema
 //                                nampc-trace/1) for the nampc_trace CLI
 //     --report FILE              write a machine-readable run report
-//                                (schema nampc-run-report/3); "-" = stdout
+//                                (schema nampc-run-report/4); "-" = stdout
 //     --metrics FILE             write the cost-attribution metrics dump
 //                                (schema nampc-metrics/1 JSONL, read by
 //                                nampc_prof); "-" = stdout
@@ -47,13 +48,17 @@
 //     --log-ring N               keep the last N log events (trace level)
 //                                and dump them on invariant failure
 //
+// Numeric values must be whole base-10 integers of the flag's type
+// (--seed and --max-events take the full 64-bit range); a malformed value,
+// like an unknown option, prints usage and exits 2.
+//
 // Every run attaches the standard invariant monitors (acast/bc/agreement/
 // sharing/acs/mpc/privacy); violations are printed and fail the run.
 //
 // Prints per-party outcomes, timing vs the paper's T_* bound, and the
 // run's message/event metrics. Exit code 0 iff all protocol guarantees
 // held in the run.
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -114,38 +119,48 @@ bool parse(int argc, char** argv, Options& o) {
   o.protocol = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](int& out) {
+    auto text = [&](std::string& out) {
       if (i + 1 >= argc) return false;
-      out = std::atoi(argv[++i]);
+      out = argv[++i];
       return true;
     };
-    int v = 0;
-    if (a == "--n" && next(v)) o.params.n = v;
-    else if (a == "--ts" && next(v)) o.params.ts = v;
-    else if (a == "--ta" && next(v)) o.params.ta = v;
-    else if (a == "--seed" && next(v)) o.seed = static_cast<std::uint64_t>(v);
-    else if (a == "--delta" && next(v)) o.delta = v;
-    else if (a == "--secrets" && next(v)) o.secrets = v;
+    // The whole token must be a base-10 integer that fits out's type.
+    auto number = [&](auto& out) {
+      if (i + 1 >= argc) return false;
+      const char* value = argv[++i];
+      const char* end = value + std::strlen(value);
+      const auto [ptr, ec] = std::from_chars(value, end, out);
+      return ec == std::errc{} && ptr == end;
+    };
+    bool ok = true;
+    if (a == "--n") ok = number(o.params.n);
+    else if (a == "--ts") ok = number(o.params.ts);
+    else if (a == "--ta") ok = number(o.params.ta);
+    else if (a == "--seed") ok = number(o.seed);
+    else if (a == "--delta") ok = number(o.delta);
+    else if (a == "--secrets") ok = number(o.secrets);
     else if (a == "--async") o.kind = NetworkKind::asynchronous;
     else if (a == "--ideal") o.ideal = true;
-    else if (a == "--adversary" && i + 1 < argc) o.adversary = argv[++i];
-    else if (a == "--backend" && i + 1 < argc) o.backend = argv[++i];
-    else if (a == "--tick-us" && next(v)) o.tick_us = v;
-    else if (a == "--record-schedule" && i + 1 < argc) o.record_file = argv[++i];
-    else if (a == "--replay-schedule" && i + 1 < argc) o.replay_file = argv[++i];
-    else if (a == "--trace" && i + 1 < argc) o.trace_file = argv[++i];
-    else if (a == "--rawtrace" && i + 1 < argc) o.rawtrace_file = argv[++i];
-    else if (a == "--report" && i + 1 < argc) o.report_file = argv[++i];
-    else if (a == "--metrics" && i + 1 < argc) o.metrics_file = argv[++i];
-    else if (a == "--metrics-dvt" && next(v)) o.metrics_dvt = v;
-    else if (a == "--max-events" && i + 1 < argc) {
-      o.max_events = std::strtoull(argv[++i], nullptr, 10);
-    }
-    else if (a == "--log-level" && i + 1 < argc) o.log_level = argv[++i];
+    else if (a == "--adversary") ok = text(o.adversary);
+    else if (a == "--backend") ok = text(o.backend);
+    else if (a == "--tick-us") ok = number(o.tick_us);
+    else if (a == "--record-schedule") ok = text(o.record_file);
+    else if (a == "--replay-schedule") ok = text(o.replay_file);
+    else if (a == "--trace") ok = text(o.trace_file);
+    else if (a == "--rawtrace") ok = text(o.rawtrace_file);
+    else if (a == "--report") ok = text(o.report_file);
+    else if (a == "--metrics") ok = text(o.metrics_file);
+    else if (a == "--metrics-dvt") ok = number(o.metrics_dvt);
+    else if (a == "--max-events") ok = number(o.max_events);
+    else if (a == "--log-level") ok = text(o.log_level);
     else if (a == "--log-json") o.log_json = true;
-    else if (a == "--log-ring" && next(v)) o.log_ring = v;
+    else if (a == "--log-ring") ok = number(o.log_ring);
     else {
       std::cerr << "unknown option: " << a << "\n";
+      return false;
+    }
+    if (!ok) {
+      std::cerr << "missing or malformed value for " << a << "\n";
       return false;
     }
   }
@@ -162,7 +177,7 @@ std::shared_ptr<ScriptedAdversary> build_adversary(const Options& o) {
   adv = std::make_shared<ScriptedAdversary>(corrupt);
   for (int id : corrupt.to_vector()) {
     if (o.adversary == "silent") adv->silence(id);
-    else adv->garble_on(id, "");
+    else adv->garble_on(id, "");  // "garble": run() rejects other names
   }
   std::cout << "adversary: " << o.adversary << " on " << corrupt.str()
             << "\n";
@@ -306,6 +321,11 @@ int run(const Options& o) {
     std::cerr << "infeasible parameters: need n > 2*max(ts,ta)+max(2ta,ts) "
               << "(minimum n = " << min_parties(o.params.ts, o.params.ta)
               << ")\n";
+    return 2;
+  }
+  if (o.adversary != "none" && o.adversary != "silent" &&
+      o.adversary != "garble") {
+    std::cerr << "unknown adversary: " << o.adversary << "\n";
     return 2;
   }
   if (o.backend == "threaded") return run_threaded_cli(o);
@@ -618,7 +638,7 @@ int main(int argc, char** argv) {
     std::cerr
         << "usage: nampc_cli <wss|vss|vts|ba|acs|mpc> [--n N --ts T --ta T] "
            "[--async] [--seed S] [--delta D] [--ideal] "
-           "[--adversary silent|garble] [--secrets L] "
+           "[--adversary none|silent|garble] [--secrets L] "
            "[--backend des|threaded] [--tick-us N] "
            "[--record-schedule FILE] [--replay-schedule FILE] "
            "[--trace FILE] [--rawtrace FILE] [--report FILE|-] "

@@ -6,7 +6,6 @@ Acast::Acast(Party& party, std::string key, PartyId sender, OutputFn on_output)
     : ProtocolInstance(party, std::move(key)),
       sender_(sender),
       on_output_(std::move(on_output)) {
-  metrics().acast_instances++;
   span_kind("acast");
 }
 

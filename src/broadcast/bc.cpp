@@ -18,7 +18,6 @@ Bc::Bc(Party& party, std::string key, PartyId sender, Time nominal_start,
       sender_(sender),
       nominal_start_(nominal_start),
       on_output_(std::move(on_output)) {
-  metrics().bc_instances++;
   span_kind("bc");
   span_nominal(nominal_start_);
   acast_ = &make_child<Acast>("acast", sender_,

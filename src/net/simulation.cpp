@@ -19,14 +19,6 @@ namespace {
 constexpr std::size_t kPayloadPoolCap = 1u << 16;
 }  // namespace
 
-bool scaling_baseline() {
-  static const bool on = [] {
-    const char* v = std::getenv("NAMPC_SCALING_BASELINE");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return on;
-}
-
 Simulation::Simulation(Config config, std::shared_ptr<Adversary> adversary)
     : config_(config),
       timing_(Timing::derive(config.params, config.delta)),
@@ -91,14 +83,12 @@ void Simulation::push_event(Event ev) {
 void Simulation::schedule(Time t, std::function<void()> fn, int klass,
                           std::uint32_t owner, PartyId owner_party) {
   NAMPC_REQUIRE(t >= now_, "cannot schedule in the past");
-  if (tracer_) tracer_->on_schedule(t, klass);
   push_event(Event{t, klass, seq_++, /*is_delivery=*/false, std::move(fn), {},
                    owner, owner_party});
 }
 
 void Simulation::schedule_delivery(Time t, Message msg) {
   NAMPC_REQUIRE(t >= now_, "cannot schedule in the past");
-  if (tracer_) tracer_->on_schedule(t, /*klass=*/0);
   push_event(
       Event{t, /*klass=*/0, seq_++, /*is_delivery=*/true, {}, std::move(msg)});
 }
@@ -113,7 +103,7 @@ std::uint32_t Simulation::intern_instance(const std::string& key) {
 }
 
 Words Simulation::pooled_copy(const Words& src, std::uint32_t owner) {
-  if (scaling_baseline() || payload_pool_.empty()) {
+  if (payload_pool_.empty()) {
     registry_->on_pool(owner, /*hit=*/false);
     return src;
   }
@@ -125,8 +115,7 @@ Words Simulation::pooled_copy(const Words& src, std::uint32_t owner) {
 }
 
 void Simulation::recycle_payload(Words&& payload) {
-  if (scaling_baseline() || payload.capacity() == 0 ||
-      payload_pool_.size() >= kPayloadPoolCap) {
+  if (payload.capacity() == 0 || payload_pool_.size() >= kPayloadPoolCap) {
     return;
   }
   payload.clear();

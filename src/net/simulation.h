@@ -51,12 +51,6 @@ class ProtocolInstance;
 class Transport;
 class DesTransport;
 
-/// True when NAMPC_SCALING_BASELINE is set in the environment: disables the
-/// scaling-path optimisations that have a behaviour-identical slow twin
-/// (payload pooling, batched row generation, incremental star maintenance)
-/// so the speedup they buy can be measured in-place. Read once per process.
-[[nodiscard]] bool scaling_baseline();
-
 /// Why Simulation::run returned.
 enum class RunStatus {
   quiescent,    ///< no pending events (every protocol ran to completion)
@@ -203,9 +197,8 @@ class Simulation {
 
   /// Copies `src` into a payload buffer drawn from the freelist pool
   /// (send_all fans one payload out to n recipients; reusing delivered
-  /// buffers avoids n fresh heap allocations per broadcast). Falls back to
-  /// a plain copy under scaling_baseline(). `owner` attributes the pool
-  /// hit/miss to the instance doing the copy.
+  /// buffers avoids n fresh heap allocations per broadcast). `owner`
+  /// attributes the pool hit/miss to the instance doing the copy.
   [[nodiscard]] Words pooled_copy(const Words& src,
                                   std::uint32_t owner = kNoInstance);
   /// Returns a delivered payload's buffer to the freelist.
@@ -373,8 +366,8 @@ class Party {
 ///
 /// Observability: every instance automatically gets a trace span (opened
 /// at registration, closed at destruction) when a Tracer is attached.
-/// Subclasses annotate it with span_kind (once, in the constructor, next
-/// to the Metrics instance counter), phase() for named transitions, and
+/// Subclasses annotate it with span_kind (once, in the constructor; it also
+/// tags the metrics registry's kind), phase() for named transitions, and
 /// span_done() when the protocol delivers its output — done-begin is the
 /// per-primitive latency reported against the paper's T_* formulas.
 /// NAMPC_PLOG(level) logs with virtual time / party / kind / key attached

@@ -366,18 +366,6 @@ void write_metrics_jsonl(std::ostream& os, const Simulation& sim) {
     os << '\n';
   }
 
-  // Legacy free-form named counters (Metrics::bump) ride along so the
-  // compatibility view loses nothing.
-  for (const auto& [name, value] : totals.named) {
-    JsonWriter w(os);
-    w.begin_object();
-    w.kv("row", "counter");
-    w.kv("name", name);
-    w.kv("value", value);
-    w.end_object();
-    os << '\n';
-  }
-
   {
     JsonWriter w(os);
     w.begin_object();

@@ -4,10 +4,10 @@
 // accounting path for run-level cost counters: every DES event, message,
 // payload word and payload-pool action is attributed to the interned
 // instance id that owns it (net/message.h), to the party that performed it,
-// and — via the span_kind tags — to its primitive kind. The legacy
-// util/metrics.h `Metrics` struct remains as a thin compatibility view: the
-// registry writes the shared totals through it, so every existing report
-// field stays byte-stable while the dimensional cells live here.
+// and — via the span_kind tags — to its primitive kind. The
+// util/metrics.h `Metrics` struct is a thin compatibility view: the
+// registry writes the shared run totals through it, while the dimensional
+// cells (including the per-kind instance counts) live only here.
 //
 // Determinism contract: all state is derived from the DES event sequence
 // (no wall clock, no pointers, no unordered containers), iteration orders
@@ -25,7 +25,7 @@
 //     what a tripped 200M-event safety valve was actually doing;
 //   * tools/nampc_prof: offline summary / --top / --series / --diff over
 //     dumps, and the per-primitive "measured_cost" section of run reports
-//     (schema nampc-run-report/3) cross-referenced against the paper's
+//     (schema nampc-run-report/4) cross-referenced against the paper's
 //     complexity terms (docs/PAPER_MAP.md, "Measured-cost fields").
 #pragma once
 
@@ -219,7 +219,7 @@ class MetricsRegistry {
   /// A derived protocol re-tags its base (Vss over Wss): the latest tag
   /// wins for attribution — tags land in the constructor, before any event
   /// is dispatched to the instance. Each call also counts one party-copy
-  /// under the kind, mirroring the layered Metrics instance counters.
+  /// under the kind, so a Vss copy counts under both "wss" and "vss".
   void tag_instance(std::uint32_t instance, std::string_view kind) {
     const std::size_t k = kind_id(kind);
     kind_tags_[k]++;
@@ -317,7 +317,7 @@ class MetricsRegistry {
   [[nodiscard]] const std::vector<InstanceCost>& kind_rows() const {
     return kind_rows_;
   }
-  /// Party-copies tagged per kind id (mirrors Metrics::*_instances).
+  /// Party-copies tagged per kind id: the run's per-kind instance counts.
   [[nodiscard]] const std::vector<std::uint64_t>& kind_tags() const {
     return kind_tags_;
   }

@@ -26,7 +26,7 @@ std::map<std::string, LatencyStats> latency_by_kind(
   std::map<std::string, LatencyStats> stats;
   for (const TraceSpan& s : spans) {
     // A span counts under every tag it carried so the per-kind counts
-    // mirror the layered Metrics counters (a Vss span is also a Wss span).
+    // equal the registry's tagged_copies (a Vss span is also a Wss span).
     std::vector<std::string> kinds = s.kinds;
     if (kinds.empty()) kinds.push_back("other");
     for (const std::string& kind : kinds) {
@@ -59,7 +59,7 @@ void write_run_report(std::ostream& os, const Simulation& sim,
 
   JsonWriter w(os);
   w.begin_object();
-  w.kv("schema", "nampc-run-report/3");
+  w.kv("schema", "nampc-run-report/4");
 
   w.key("config").begin_object();
   w.kv("n", cfg.params.n).kv("ts", cfg.params.ts).kv("ta", cfg.params.ta);
@@ -79,23 +79,14 @@ void write_run_report(std::ostream& os, const Simulation& sim,
   w.key("metrics").begin_object();
   w.kv("messages_sent", m.messages_sent).kv("words_sent", m.words_sent);
   w.kv("events_processed", m.events_processed);
-  w.kv("acast_instances", m.acast_instances);
-  w.kv("bc_instances", m.bc_instances);
-  w.kv("ba_instances", m.ba_instances);
   w.kv("aba_rounds", m.aba_rounds);
-  w.kv("wss_instances", m.wss_instances);
   w.kv("wss_restarts", m.wss_restarts);
-  w.kv("vss_instances", m.vss_instances);
   w.kv("beaver_mults", m.beaver_mults);
   w.kv("rs_decodes", m.rs_decodes);
-  w.kv("field_mults", m.field_mults);
   w.key("honest_polys_revealed").begin_object();
   for (const auto& [dealer, count] : m.honest_polys_revealed) {
     w.kv("P" + std::to_string(dealer), count);
   }
-  w.end_object();
-  w.key("named").begin_object();
-  for (const auto& [name, count] : m.named) w.kv(name, count);
   w.end_object();
   w.end_object();
 

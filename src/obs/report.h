@@ -6,12 +6,15 @@
 // T'_WSS, T_VSS, T_VTS, T_ACS) and — when a Tracer was attached — observed
 // per-primitive virtual-time latency percentiles, so measured latencies
 // can be checked against the formulas and tracked as a BENCH_*.json
-// trajectory across PRs. Schema: "nampc-run-report/3" (documented in
+// trajectory across PRs. Schema: "nampc-run-report/4" (documented in
 // DESIGN.md §Observability); v2 added p99 + per-kind message/word volumes
 // to "primitives" and the "monitors" / "critical_path" sections; v3 added
 // "measured_cost" — the metrics registry's per-primitive event/message/
 // word attribution (obs/metrics.h), each kind cross-referenced against
-// the paper's complexity term (docs/PAPER_MAP.md "Measured-cost fields").
+// the paper's complexity term (docs/PAPER_MAP.md "Measured-cost fields");
+// v4 dropped the "metrics" copies of the per-kind instance counts
+// (measured_cost.<kind>.tagged_copies holds them) and two always-empty
+// keys.
 #pragma once
 
 #include <ostream>

@@ -38,7 +38,6 @@ void Tracer::close_span(int party, const std::string& key, Time now) {
 
 void Tracer::set_kind(int party, const std::string& key,
                       const std::string& kind) {
-  kind_counts_[kind]++;
   const int index = find_open(party, key);
   if (index >= 0) {
     TraceSpan& span = spans_[static_cast<std::size_t>(index)];
@@ -85,11 +84,6 @@ void Tracer::on_flow(int from, int to, std::uint64_t words, Time send,
     return;
   }
   flows_.push_back(TraceFlow{from, to, words, send, arrival, key});
-}
-
-void Tracer::on_schedule(Time t, int klass) {
-  (void)t;
-  scheduled_by_klass_[klass]++;
 }
 
 std::vector<Tracer::Aggregate> Tracer::aggregate_subtrees() const {

@@ -25,9 +25,8 @@ class Vss : public Wss {
       int num_secrets, PartySet z, OutputFn on_output)
       : Wss(party, std::move(key), dealer, nominal_start,
             make_options(party, num_secrets, z), std::move(on_output)) {
-    party.sim().metrics().vss_instances++;
-    // Overrides the base Wss tag; the tracer's kind_counts still mirror
-    // wss_instances/vss_instances (a VSS counts under both, like Metrics).
+    // Overrides the base Wss tag for attribution; the registry's tag counts
+    // still see both (a VSS counts under "wss" and "vss").
     span_kind("vss");
   }
 

@@ -49,7 +49,6 @@ Wss::Wss(Party& party, std::string key, PartyId dealer, Time nominal_start,
     NAMPC_REQUIRE(options_.z->size() == ts() - ta(),
                   "Z must have exactly ts-ta parties");
   }
-  metrics().wss_instances++;
   span_kind("wss");
   span_nominal(nominal_start_);
   // Budget analysis reads this tag to pick T'_WSS (the Z-conditioned bound,
@@ -139,16 +138,14 @@ void Wss::start(std::vector<Polynomial> row0s) {
   for (const Polynomial& q : dealer_row0s_) {
     bivariates_.push_back(SymBivariate::random_with_row0(q, ts(), rng()));
   }
-  if (!scaling_baseline()) {
-    // The bivariates never change after this point, so the full row family
-    // and the n×n committed-point grid per secret are computed once — every
-    // later send/expect against them becomes a table lookup.
-    dealer_rows_.reserve(bivariates_.size());
-    dealer_points_.resize(bivariates_.size());
-    for (std::size_t k = 0; k < bivariates_.size(); ++k) {
-      dealer_rows_.push_back(bivariates_[k].rows_for_parties(n()));
-      rs_encode_batch(dealer_rows_[k], n(), ts(), dealer_points_[k]);
-    }
+  // The bivariates never change after this point, so the full row family
+  // and the n×n committed-point grid per secret are computed once — every
+  // later send/expect against them becomes a table lookup.
+  dealer_rows_.reserve(bivariates_.size());
+  dealer_points_.resize(bivariates_.size());
+  for (std::size_t k = 0; k < bivariates_.size(); ++k) {
+    dealer_rows_.push_back(bivariates_[k].rows_for_parties(n()));
+    rs_encode_batch(dealer_rows_[k], n(), ts(), dealer_points_[k]);
   }
   // start() may be invoked at (or after) the iteration's nominal start —
   // e.g. an inner VSS instance whose outer layer hands it input exactly at
@@ -161,35 +158,22 @@ void Wss::start(std::vector<Polynomial> row0s) {
 // -------------------------------------------------------- scaling caches --
 
 Fp Wss::row_point(int k, int j) const {
-  if (row_points_ready_) {
-    return row_points_.at(static_cast<std::size_t>(k),
-                          static_cast<std::size_t>(j));
-  }
-  return rows_[static_cast<std::size_t>(k)].eval(eval_point(j));
+  return row_points_.at(static_cast<std::size_t>(k),
+                        static_cast<std::size_t>(j));
 }
 
 std::vector<Polynomial> Wss::dealer_rows_for(int j) const {
   std::vector<Polynomial> rows;
-  rows.reserve(bivariates_.size());
-  if (!dealer_rows_.empty()) {
-    for (const auto& family : dealer_rows_) {
-      rows.push_back(family[static_cast<std::size_t>(j)]);
-    }
-  } else {
-    for (const SymBivariate& f : bivariates_) {
-      rows.push_back(f.row_for_party(j));
-    }
+  rows.reserve(dealer_rows_.size());
+  for (const auto& family : dealer_rows_) {
+    rows.push_back(family[static_cast<std::size_t>(j)]);
   }
   return rows;
 }
 
 Fp Wss::dealer_point(int k, int owner, int at) const {
-  if (!dealer_points_.empty()) {
-    return dealer_points_[static_cast<std::size_t>(k)].at(
-        static_cast<std::size_t>(owner), static_cast<std::size_t>(at));
-  }
-  return bivariates_[static_cast<std::size_t>(k)].eval(eval_point(at),
-                                                       eval_point(owner));
+  return dealer_points_[static_cast<std::size_t>(k)].at(
+      static_cast<std::size_t>(owner), static_cast<std::size_t>(at));
 }
 
 // ------------------------------------------------------------ iterations --
@@ -513,28 +497,23 @@ void Wss::dealer_check_async() {
   // star->f to itself be an (n - ta)-clique containing U, and the exact
   // Bron-Kerbosch search already finds one whenever it exists — so the star
   // only needs computing (and only matters as the paper's fast detector)
-  // when the clique search comes up empty. Under NAMPC_SCALING_BASELINE the
-  // historical order (star first, from scratch, every call) is kept.
-  std::optional<StarResult> star;
-  if (scaling_baseline()) {
-    star = find_star(a, ta());
-  } else {
-    // Degree gate: an (n - ta)-clique needs n - ta vertices of degree at
-    // least n - ta - 1. Early AOK trickle fails this cheaply, skipping the
-    // exponential clique searches (and the star) entirely.
-    int rich = 0;
-    for (int i = 0; i < n(); ++i) {
-      // LINT:threshold(wss.degree_gate)
-      if (a.neighbors(i).size() >= n() - ta() - 1) ++rich;
-    }
-    if (rich < n() - ta()) {  // LINT:threshold(wss.clique_quorum)
-      NAMPC_PLOG(trace) << "dealer async: degree gate (" << rich << ")";
-      return;
-    }
+  // when the clique search comes up empty.
+  //
+  // Degree gate: an (n - ta)-clique needs n - ta vertices of degree at
+  // least n - ta - 1. Early AOK trickle fails this cheaply, skipping the
+  // exponential clique searches (and the star) entirely.
+  int rich = 0;
+  for (int i = 0; i < n(); ++i) {
+    // LINT:threshold(wss.degree_gate)
+    if (a.neighbors(i).size() >= n() - ta() - 1) ++rich;
+  }
+  if (rich < n() - ta()) {  // LINT:threshold(wss.clique_quorum)
+    NAMPC_PLOG(trace) << "dealer async: degree gate (" << rich << ")";
+    return;
   }
   // LINT:threshold(wss.clique_quorum)
   auto qa = find_clique_including(a, dealer_u_, n() - ta());
-  if (!qa.has_value() && !scaling_baseline()) {
+  if (!qa.has_value()) {
     // The AOK graph for a fixed U only ever gains edges; the incremental
     // finder repairs its complement matching per arrival instead of
     // rebuilding. A U change invalidates the edge semantics — reload.
@@ -545,13 +524,12 @@ void Wss::dealer_check_async() {
     } else {
       dealer_star_.sync_to(a);
     }
-    star = dealer_star_.find();
-  }
-  if (!qa.has_value() && star.has_value() && star->extended &&
-      a.is_clique(star->f) &&
-      star->f.size() >= n() - ta() &&  // LINT:threshold(wss.clique_quorum)
-      dealer_u_.subset_of(star->f)) {
-    qa = star->f;
+    const std::optional<StarResult> star = dealer_star_.find();
+    if (star.has_value() && star->extended && a.is_clique(star->f) &&
+        star->f.size() >= n() - ta() &&  // LINT:threshold(wss.clique_quorum)
+        dealer_u_.subset_of(star->f)) {
+      qa = star->f;
+    }
   }
   if (!qa.has_value()) {
     const PartySet best = maximum_clique(a);
@@ -590,13 +568,10 @@ void Wss::on_message(const Message& msg) {
     rows_ = std::move(rows);
     have_rows_ = true;
     rows_time_ = now();
-    if (!scaling_baseline()) {
-      // Rows never change once accepted: batch-encode them over all n party
-      // points now (one Vandermonde product) so the per-peer evaluations in
-      // the point exchange, reports, AOKs and reconstruction are lookups.
-      rs_encode_batch(rows_, n(), ts(), row_points_);
-      row_points_ready_ = true;
-    }
+    // Rows never change once accepted: batch-encode them over all n party
+    // points now (one Vandermonde product) so the per-peer evaluations in
+    // the point exchange, reports, AOKs and reconstruction are lookups.
+    rs_encode_batch(rows_, n(), ts(), row_points_);
     step_send_points();
     for (int j = 0; j < n(); ++j) maybe_send_aok(j);
   } else if (msg.type == kPoint) {

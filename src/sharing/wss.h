@@ -191,14 +191,12 @@ class Wss : public ProtocolInstance {
   /// globally, by the revealed party's own honest instance copy).
   void note_revealed(int member);
 
-  // Scaling caches (all bypassed under NAMPC_SCALING_BASELINE; exact field
-  // arithmetic makes every cached value bit-identical to the on-demand
-  // evaluation it replaces).
+  // Scaling caches (exact field arithmetic makes every cached value
+  // bit-identical to the on-demand evaluation it replaces).
   /// My row k evaluated at party j's point: rows_[k](α_{j+1}), served from
-  /// the row_points_ grid once the dealer's rows have been batch-encoded.
+  /// the row_points_ grid (valid once have_rows_).
   [[nodiscard]] Fp row_point(int k, int j) const;
-  /// Dealer-side: rows of party j across all secrets (cached family or
-  /// per-call row_for_party fallback).
+  /// Dealer-side: rows of party j across all secrets.
   [[nodiscard]] std::vector<Polynomial> dealer_rows_for(int j) const;
   /// Dealer-side committed point F_k(α_at, α_owner) = row_owner^k(α_at) —
   /// the value party `owner` should hold/report for partner `at`.
@@ -215,7 +213,7 @@ class Wss : public ProtocolInstance {
   PartySet dealer_blacklist_;             // silent non-Z cliquemates
   bool dealer_async_sent_ = false;
   Graph dealer_async_graph_;
-  // Scaling caches, dealer side (filled in start() unless baselined):
+  // Scaling caches, dealer side (filled in start()):
   // dealer_rows_[k][j] = bivariates_[k].row_for_party(j);
   // dealer_points_[k].at(i, j) = row_i^k(α_{j+1}) = F_k(α_{j+1}, α_{i+1}).
   std::vector<std::vector<Polynomial>> dealer_rows_;
@@ -228,7 +226,6 @@ class Wss : public ProtocolInstance {
   std::vector<std::unique_ptr<Iteration>> iterations_;
   std::vector<Polynomial> rows_;  // rows received from the dealer
   FpGrid row_points_;             // rows_ batch-encoded over all n points
-  bool row_points_ready_ = false;
   bool have_rows_ = false;
   Time rows_time_ = -1;
   bool points_sent_ = false;

@@ -2,7 +2,8 @@
 //
 // Benchmarks and tests read these counters to report message/byte complexity
 // and to audit the privacy invariants (number of honest univariate
-// polynomials revealed must never exceed ts).
+// polynomials revealed must never exceed ts). Per-kind instance counts live
+// only in the metrics registry (obs/metrics.h, kind_tags).
 #pragma once
 
 #include <cstdint>
@@ -16,16 +17,10 @@ struct Metrics {
   std::uint64_t messages_sent = 0;       ///< point-to-point sends
   std::uint64_t words_sent = 0;          ///< total payload words
   std::uint64_t events_processed = 0;    ///< DES events executed
-  std::uint64_t acast_instances = 0;
-  std::uint64_t bc_instances = 0;
-  std::uint64_t ba_instances = 0;
   std::uint64_t aba_rounds = 0;
-  std::uint64_t wss_instances = 0;
   std::uint64_t wss_restarts = 0;
-  std::uint64_t vss_instances = 0;
   std::uint64_t beaver_mults = 0;
   std::uint64_t rs_decodes = 0;
-  std::uint64_t field_mults = 0;         ///< sampled only where instrumented
 
   // Allocation-behaviour counters for the scaling engine (BENCH_scaling):
   std::uint64_t payload_pool_hits = 0;   ///< send_all copies served from pool
@@ -65,11 +60,6 @@ struct Metrics {
     std::uint64_t& worst = honest_polys_revealed[dealer];
     if (count > worst) worst = count;
   }
-
-  /// Free-form named counters for protocol-specific accounting.
-  std::map<std::string, std::uint64_t> named;
-
-  void bump(const std::string& key, std::uint64_t by = 1) { named[key] += by; }
 };
 
 }  // namespace nampc

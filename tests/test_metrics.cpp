@@ -123,9 +123,9 @@ TEST(MetricsRegistry, AttributionSumsToRunTotals) {
   }
 }
 
-// Satellite 1: the Metrics struct is a compatibility view over the
-// registry's accounting path — same object, and the registry's kind tags
-// mirror the layered per-kind instance counters the struct still carries.
+// The Metrics struct is a compatibility view over the registry's
+// accounting path — same object — and the per-kind instance counts live in
+// the registry alone: one "wss" tag per spawned party copy.
 TEST(MetricsRegistry, CompatViewIsTheSameAccountingPath) {
   const WssRun r = run_wss(p7_2_1(), NetworkKind::synchronous, 3, 0);
   ASSERT_EQ(r.status, RunStatus::quiescent);
@@ -137,7 +137,7 @@ TEST(MetricsRegistry, CompatViewIsTheSameAccountingPath) {
   for (std::size_t k = 0; k < kinds.size(); ++k) {
     if (kinds[k] == "wss") wss_tags = reg.kind_tags()[k];
   }
-  EXPECT_EQ(wss_tags, r.sim->metrics().wss_instances);
+  EXPECT_EQ(wss_tags, static_cast<std::uint64_t>(p7_2_1().n));
 }
 
 // The committed-dump determinism contract: the JSONL bytes depend only on

@@ -11,6 +11,7 @@
 
 #include "mpc/mpc.h"
 #include "obs/analysis.h"
+#include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "obs/report.h"
 #include "obs/tracer.h"
@@ -232,14 +233,19 @@ struct TracedRun {
 TEST(Obs, TraceSpanKindsMatchMetricsCounters) {
   TracedRun run(/*seed=*/21);
   ASSERT_EQ(run.status, RunStatus::quiescent);
-  const Metrics& m = run.sim->metrics();
-  EXPECT_GT(m.bc_instances, 0u);
-  EXPECT_GT(m.wss_instances, 0u);
-  EXPECT_GT(m.vss_instances, 0u);
-  EXPECT_EQ(run.tracer.kind_count("bc"), m.bc_instances);
-  EXPECT_EQ(run.tracer.kind_count("wss"), m.wss_instances);
-  EXPECT_EQ(run.tracer.kind_count("vss"), m.vss_instances);
-  EXPECT_EQ(run.tracer.kind_count("mpc"), 4u);
+  // A span counts under every tag it carried, exactly like the registry's
+  // per-kind tag counts (a Vss copy counts under "wss" and "vss").
+  const auto spans = obs::latency_by_kind(run.tracer);
+  for (const char* kind : {"bc", "wss", "vss", "mpc"}) {
+    ASSERT_EQ(spans.count(kind), 1u) << kind;
+  }
+  const obs::MetricsRegistry& reg = run.sim->metrics_registry();
+  for (std::size_t k = 1; k < reg.kind_names().size(); ++k) {
+    const std::string& kind = reg.kind_names()[k];
+    ASSERT_EQ(spans.count(kind), 1u) << kind;
+    EXPECT_EQ(spans.at(kind).count, reg.kind_tags()[k]) << kind;
+  }
+  EXPECT_EQ(spans.at("mpc").count, 4u);
 }
 
 TEST(Obs, ChromeTraceParsesAndCoversAllParties) {
@@ -272,7 +278,7 @@ TEST(Obs, RunReportParsesAndMirrorsMetrics) {
   JsonValue report;
   ASSERT_TRUE(parse_json(run.report_json, report))
       << run.report_json.substr(0, 200);
-  EXPECT_EQ(report.at("schema").str, "nampc-run-report/3");
+  EXPECT_EQ(report.at("schema").str, "nampc-run-report/4");
   EXPECT_EQ(report.at("status").str, "quiescent");
   EXPECT_EQ(report.at("config").at("n").as_int(), 4);
   EXPECT_EQ(report.at("config").at("seed").as_int(), 23);
@@ -284,17 +290,18 @@ TEST(Obs, RunReportParsesAndMirrorsMetrics) {
   EXPECT_EQ(metrics.at("events_processed").as_int(),
             static_cast<std::int64_t>(m.events_processed));
 
-  // Acceptance check: per-primitive span counts equal the Metrics counters.
+  // Acceptance check: per-primitive span counts equal the registry's tag
+  // counts, which the report carries once, under measured_cost.
   const auto& prim = report.at("primitives");
-  ASSERT_TRUE(prim.has("bc"));
-  ASSERT_TRUE(prim.has("wss"));
-  ASSERT_TRUE(prim.has("vss"));
-  EXPECT_EQ(prim.at("bc").at("count").as_int(),
-            static_cast<std::int64_t>(m.bc_instances));
-  EXPECT_EQ(prim.at("wss").at("count").as_int(),
-            static_cast<std::int64_t>(m.wss_instances));
-  EXPECT_EQ(prim.at("vss").at("count").as_int(),
-            static_cast<std::int64_t>(m.vss_instances));
+  const auto& cost = report.at("measured_cost");
+  for (const char* kind : {"bc", "wss", "vss"}) {
+    ASSERT_TRUE(prim.has(kind)) << kind;
+    ASSERT_TRUE(cost.has(kind)) << kind;
+    EXPECT_EQ(prim.at(kind).at("count").as_int(),
+              cost.at(kind).at("tagged_copies").as_int())
+        << kind;
+    EXPECT_FALSE(metrics.has(std::string(kind) + "_instances")) << kind;
+  }
   // Completed primitives report latency percentiles in virtual time.
   EXPECT_GE(prim.at("bc").at("latency").at("p50").num, 0.0);
 }

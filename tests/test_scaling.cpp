@@ -277,10 +277,8 @@ TEST(ScalingWss, PoolAndGridActiveOnFullRun) {
   inst[0]->start({Polynomial::random_with_constant(Fp(21), 5, rng)});
   (void)sim.run();
   for (Wss* w : inst) EXPECT_EQ(w->outcome(), WssOutcome::rows);
-  if (!scaling_baseline()) {
-    EXPECT_GT(sim.metrics().payloads_recycled, 0u);
-    EXPECT_GT(sim.metrics().payload_pool_hits, 0u);
-  }
+  EXPECT_GT(sim.metrics().payloads_recycled, 0u);
+  EXPECT_GT(sim.metrics().payload_pool_hits, 0u);
   EXPECT_GT(sim.metrics().peak_queue_depth, 0u);
   // Pairwise consistency across the cached-evaluation paths.
   for (int i = 0; i < 16; ++i) {
