@@ -47,7 +47,7 @@ Simulation::Simulation(Config config, std::shared_ptr<Adversary> adversary)
 Simulation::~Simulation() {
   // Drop pending events (which may capture instance pointers) before the
   // parties that own those instances.
-  while (!queue_.empty()) queue_.pop();
+  calendar_.clear();
 }
 
 void Simulation::set_monitors(obs::MonitorEngine* monitors) {
@@ -75,22 +75,19 @@ Party& Simulation::party(PartyId id) {
   return *parties_[static_cast<std::size_t>(id)];
 }
 
-void Simulation::push_event(Event ev) {
-  queue_.push(std::move(ev));
-  registry_->on_queue_depth(queue_.size());
+void Simulation::push_event(Time t, int klass, Event ev) {
+  NAMPC_REQUIRE(t >= now_, "cannot schedule in the past");
+  calendar_[{t, klass}].push_back(std::move(ev));
+  registry_->on_queue_depth(++pending_);
 }
 
 void Simulation::schedule(Time t, std::function<void()> fn, int klass,
                           std::uint32_t owner, PartyId owner_party) {
-  NAMPC_REQUIRE(t >= now_, "cannot schedule in the past");
-  push_event(Event{t, klass, seq_++, /*is_delivery=*/false, std::move(fn), {},
-                   owner, owner_party});
+  push_event(t, klass, Timer{std::move(fn), owner, owner_party});
 }
 
 void Simulation::schedule_delivery(Time t, Message msg) {
-  NAMPC_REQUIRE(t >= now_, "cannot schedule in the past");
-  push_event(
-      Event{t, /*klass=*/0, seq_++, /*is_delivery=*/true, {}, std::move(msg)});
+  push_event(t, /*klass=*/0, std::move(msg));
 }
 
 std::uint32_t Simulation::intern_instance(const std::string& key) {
@@ -146,35 +143,34 @@ void Simulation::post_message(Message msg) {
 }
 
 void Simulation::dispatch_top() {
-  const Event& top = queue_.top();
-  registry_->advance_time(top.time);
-  now_ = top.time;
-  if (top.is_delivery) {
-    Message m = std::move(const_cast<Event&>(top).msg);
-    queue_.pop();
-    registry_->on_dispatch(m.instance_id, m.to, /*delivery=*/true, m.type,
-                           now_, m.payload.size());
-    party(m.to).deliver(m);
-    recycle_payload(std::move(m.payload));
+  const auto slot = calendar_.begin();
+  const auto [time, klass] = slot->first;
+  Event ev = std::move(slot->second.front());
+  slot->second.pop_front();
+  if (slot->second.empty()) calendar_.erase(slot);
+  --pending_;
+  registry_->advance_time(time);
+  now_ = time;
+  if (auto* m = std::get_if<Message>(&ev)) {
+    registry_->on_dispatch(m->instance_id, m->to, /*delivery=*/true, m->type,
+                           now_, m->payload.size());
+    party(m->to).deliver(*m);
+    recycle_payload(std::move(m->payload));
   } else {
-    const std::uint32_t owner = top.owner;
-    const PartyId owner_party = top.owner_party;
-    const int klass = top.klass;
-    auto fn = std::move(const_cast<Event&>(top).fn);
-    queue_.pop();
-    registry_->on_dispatch(owner, owner_party, /*delivery=*/false, klass,
-                           now_, 0);
-    fn();
+    Timer& timer = std::get<Timer>(ev);
+    registry_->on_dispatch(timer.owner, timer.owner_party, /*delivery=*/false,
+                           klass, now_, 0);
+    timer.fn();
   }
 }
 
 std::optional<Time> Simulation::next_event_time() const {
-  if (queue_.empty()) return std::nullopt;
-  return queue_.top().time;
+  if (calendar_.empty()) return std::nullopt;
+  return calendar_.begin()->first.first;
 }
 
 bool Simulation::run_one() {
-  if (queue_.empty()) {
+  if (calendar_.empty()) {
     last_status_ = RunStatus::quiescent;
     return false;
   }
@@ -188,13 +184,13 @@ bool Simulation::run_one() {
 }
 
 RunStatus Simulation::run() {
-  while (!queue_.empty()) {
+  while (!calendar_.empty()) {
     if (metrics_.events_processed >= config_.max_events) {
       on_event_limit();
       last_status_ = RunStatus::event_limit;
       return RunStatus::event_limit;
     }
-    if (queue_.top().time >= config_.horizon) {
+    if (calendar_.begin()->first.first >= config_.horizon) {
       registry_->finish(now_);
       last_status_ = RunStatus::horizon;
       return RunStatus::horizon;
@@ -212,23 +208,17 @@ RunStatus Simulation::run() {
 }
 
 obs::QueueStats Simulation::queue_stats() const {
-  // The priority_queue hides its container; a derived type can still name
-  // the protected member, giving read access to the heap array without
-  // copying or draining millions of pending events on the trip path.
-  struct Peeker : std::priority_queue<Event, std::vector<Event>, EventOrder> {
-    static const std::vector<Event>& container(
-        const std::priority_queue<Event, std::vector<Event>, EventOrder>& q) {
-      return q.*(&Peeker::c);
-    }
-  };
   obs::QueueStats stats;
-  const std::vector<Event>& events = Peeker::container(queue_);
-  stats.depth = events.size();
-  for (const Event& ev : events) {
-    stats.by_klass[ev.klass]++;
-    if (ev.is_delivery) stats.deliveries_by_instance[ev.msg.instance_id]++;
-    if (ev.time > stats.horizon) stats.horizon = ev.time;
+  stats.depth = pending_;
+  for (const auto& [slot, events] : calendar_) {
+    stats.by_klass[slot.second] += events.size();
+    for (const Event& ev : events) {
+      if (const auto* m = std::get_if<Message>(&ev)) {
+        stats.deliveries_by_instance[m->instance_id]++;
+      }
+    }
   }
+  if (!calendar_.empty()) stats.horizon = calendar_.rbegin()->first.first;
   return stats;
 }
 

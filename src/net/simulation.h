@@ -1,11 +1,18 @@
 // Discrete-event simulator: parties, routing, timers, adversarial delivery.
 //
-// One Simulation hosts n parties, an event queue ordered by (virtual time,
-// insertion sequence), a network model (synchronous with bound Δ, or
-// asynchronous), and an Adversary that corrupts parties and schedules
-// delivery. Protocol code is written as ProtocolInstance subclasses that
-// exchange Messages and set timers; the same protocol code runs unchanged
-// under either network, which is the whole point of the paper.
+// One Simulation hosts n parties, an event queue, a network model
+// (synchronous with bound Δ, or asynchronous), and an Adversary that
+// corrupts parties and schedules delivery. Protocol code is written as
+// ProtocolInstance subclasses that exchange Messages and set timers; the
+// same protocol code runs unchanged under either network, which is the
+// whole point of the paper.
+//
+// Events dispatch in (virtual time, klass, scheduling order): within one
+// tick, lower klasses run first (0 = message deliveries, timers above), and
+// events of equal time and klass run first-scheduled first. The queue is a
+// calendar: an ordered map from (time, klass) to a FIFO of events. Its
+// first slot holds the next events, and appending to a slot's FIFO keeps
+// scheduling order within it, so no per-event sequence number is needed.
 //
 // Model enforcement (see adversary.h): honest→* messages cannot be dropped
 // or modified; in a synchronous network they arrive within Δ and in FIFO
@@ -23,8 +30,9 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "net/adversary.h"
@@ -246,33 +254,20 @@ class Simulation {
   }
 
  private:
-  /// Queue entry. Deliveries (klass 0) carry the Message inline —
-  /// `is_delivery` selects which member is live — so the dominant event
-  /// kind costs no std::function heap allocation.
-  struct Event {
-    Time time;
-    int klass;
-    std::uint64_t seq;
-    bool is_delivery = false;
+  /// Timer event body; its (time, klass) is the calendar key.
+  struct Timer {
     std::function<void()> fn;
-    Message msg;
-    // Cost attribution for timer events (deliveries carry msg.instance_id).
+    // Cost attribution (deliveries carry msg.instance_id instead).
     std::uint32_t owner = kNoInstance;
     PartyId owner_party = -1;
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.klass != b.klass) return a.klass > b.klass;
-      return a.seq > b.seq;
-    }
-  };
+  using Event = std::variant<Message, Timer>;
 
   void audit_privacy() const;
 
-  void push_event(Event ev);
+  void push_event(Time t, int klass, Event ev);
 
-  /// Pops and dispatches the top event (shared by run and run_one).
+  /// Pops and dispatches the earliest event (shared by run and run_one).
   void dispatch_top();
 
   /// Composition of the pending event queue (flight recorder, cold path).
@@ -293,8 +288,9 @@ class Simulation {
   RunStatus last_status_ = RunStatus::quiescent;
   Rng rng_;
   Time now_ = 0;
-  std::uint64_t seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  // The event calendar (see the file comment); pending_ counts its events.
+  std::map<std::pair<Time, int>, std::deque<Event>> calendar_;
+  std::uint64_t pending_ = 0;
   std::vector<std::unique_ptr<Party>> parties_;
   // Delivery backend: des_transport_ is the built-in default, transport_
   // the active (possibly externally attached) one.

@@ -109,8 +109,8 @@ struct FlightRecord {
   std::vector<RingEvent> ring;  ///< oldest → newest
 };
 
-/// Pending-queue composition, computed by the Simulation at trip time (the
-/// registry cannot walk the priority queue itself).
+/// Pending-queue composition, computed by the Simulation at trip time from
+/// a walk of its event calendar (the registry never sees the queue).
 struct QueueStats {
   std::uint64_t depth = 0;
   std::map<int, std::uint64_t> by_klass;

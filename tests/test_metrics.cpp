@@ -215,6 +215,17 @@ TEST(MetricsRegistry, FlightRecorderCapturesEngineeredValveTrip) {
   for (const auto& [klass, count] : rec.queue_by_klass) by_klass += count;
   EXPECT_EQ(by_klass, rec.queue_depth);
   EXPECT_GE(rec.queue_horizon, rec.tripped_at);
+  // Layout-free identities: the depth histogram takes one bump per push and
+  // every dispatch pops one event; with real primitives every klass-0 event
+  // is a delivery, so the by-kind rows cover exactly klass 0.
+  std::uint64_t pushes = 0;
+  for (const std::uint64_t c : reg.queue_depth_hist()) pushes += c;
+  EXPECT_EQ(rec.queue_depth, pushes - r.sim->metrics().events_processed);
+  std::uint64_t by_kind = 0;
+  for (const auto& [kind, count] : rec.queue_by_kind) by_kind += count;
+  const auto klass0 = rec.queue_by_klass.find(0);
+  ASSERT_NE(klass0, rec.queue_by_klass.end());
+  EXPECT_EQ(by_kind, klass0->second);
 
   ASSERT_FALSE(rec.ring.empty());
   EXPECT_LE(rec.ring.size(), 256u);

@@ -145,7 +145,9 @@ void expect_valid_star(const Graph& g, const StarResult& s, int t) {
   EXPECT_GE(s.d.size(), n - t);
   for (int c : s.c.to_vector()) {
     for (int d : s.d.to_vector()) {
-      if (c != d) EXPECT_TRUE(g.has_edge(c, d)) << c << "," << d;
+      if (c != d) {
+        EXPECT_TRUE(g.has_edge(c, d)) << c << "," << d;
+      }
     }
   }
 }

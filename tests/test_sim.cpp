@@ -2,6 +2,12 @@
 // model enforcement, event ordering.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <queue>
+#include <tuple>
+#include <vector>
+
 #include "sim_helpers.h"
 
 namespace nampc {
@@ -203,6 +209,115 @@ TEST(Sim, CorruptSenderMayExceedDeltaInSync) {
   EXPECT_EQ(sim->run(), RunStatus::quiescent);
   ASSERT_EQ(b.arrivals.size(), 1u);
   EXPECT_EQ(b.arrivals[0].when, 9999);
+}
+
+/// Forwards every delivery's type (an event id) to a shared callback.
+class Recorder : public ProtocolInstance {
+ public:
+  Recorder(Party& party, std::string key, std::function<void(int)> on_id)
+      : ProtocolInstance(party, std::move(key)), on_id_(std::move(on_id)) {}
+
+  void on_message(const Message& msg) override { on_id_(msg.type); }
+
+ private:
+  std::function<void(int)> on_id_;
+};
+
+// The dispatch-order contract against its reference model: a binary heap
+// over (time, klass, scheduling sequence). A seeded mix of timers (klass
+// 0-3, many on equal ticks) and deliveries is stepped with
+// next_event_time/run_one; some callbacks schedule again at now() with a
+// lower, equal and higher klass than their own.
+TEST(Sim, EventOrderMatchesReferenceHeap) {
+  struct Ref {
+    Time time;
+    int klass;
+    std::uint64_t seq;
+    int id;
+    bool operator>(const Ref& o) const {
+      return std::tie(time, klass, seq) > std::tie(o.time, o.klass, o.seq);
+    }
+  };
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<>> reference;
+  std::uint64_t ref_seq = 0;
+  std::vector<std::pair<Time, int>> dispatched;
+  std::vector<std::pair<Time, int>> expected;
+  std::vector<int> klass_of;  // by event id; deliveries are klass 0
+
+  auto sim = make_sim({.params = testing::p4_1_0()});
+  Rng rng(2024);
+  constexpr int kBudget = 4000;
+  std::function<void(Time, int, bool)> add;
+  const auto on_dispatch = [&](int id) {
+    dispatched.emplace_back(sim->now(), id);
+    ASSERT_FALSE(reference.empty());
+    expected.emplace_back(reference.top().time, reference.top().id);
+    reference.pop();
+    if (id % 5 != 0 || static_cast<int>(klass_of.size()) >= kBudget) return;
+    const int own = klass_of[static_cast<std::size_t>(id)];
+    for (const int k : {own - 1, own, own + 1}) {
+      if (k >= 0 && k <= 3) add(sim->now(), k, k == 0 && rng.next_bool());
+    }
+    add(sim->now() + static_cast<Time>(rng.next_below(15)),
+        static_cast<int>(rng.next_below(4)), rng.next_bool());
+  };
+  std::vector<Recorder*> recorders;
+  for (int i = 0; i < 4; ++i) {
+    recorders.push_back(&sim->party(i).spawn<Recorder>("rec", on_dispatch));
+  }
+  add = [&](Time t, int klass, bool delivery) {
+    const int id = static_cast<int>(klass_of.size());
+    klass_of.push_back(delivery ? 0 : klass);
+    reference.push({t, delivery ? 0 : klass, ref_seq++, id});
+    if (!delivery) {
+      sim->schedule(t, [&on_dispatch, id] { on_dispatch(id); }, klass);
+      return;
+    }
+    const std::size_t party = rng.next_below(4);
+    const Recorder& to = *recorders[party];
+    Message msg;
+    msg.from = 0;
+    msg.to = static_cast<PartyId>(party);
+    msg.type = id;
+    msg.instance_id = to.instance_id();
+    msg.instance_name = &to.key();
+    sim->schedule_delivery(t, std::move(msg));
+  };
+  for (int i = 0; i < 600; ++i) {
+    add(static_cast<Time>(rng.next_below(40)),
+        static_cast<int>(rng.next_below(4)), rng.next_below(4) == 0);
+  }
+
+  while (const std::optional<Time> t = sim->next_event_time()) {
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(*t, reference.top().time);
+    ASSERT_TRUE(sim->run_one());
+  }
+  EXPECT_TRUE(reference.empty());
+  EXPECT_FALSE(sim->run_one());
+  EXPECT_EQ(sim->last_status(), RunStatus::quiescent);
+  EXPECT_GT(klass_of.size(), 1000u);
+  ASSERT_EQ(dispatched.size(), expected.size());
+  for (std::size_t i = 0; i < dispatched.size(); ++i) {
+    ASSERT_EQ(dispatched[i], expected[i]) << "first divergence at step " << i;
+  }
+
+  // Horizon: events at or after it stay pending and run() stops there.
+  Simulation::Config cfg;
+  cfg.params = testing::p4_1_0();
+  cfg.horizon = 50;
+  Simulation capped(cfg, std::make_shared<Adversary>());
+  std::vector<Time> ran;
+  for (const Time t : {60, 10, 50, 49}) {
+    capped.schedule(t, [&] { ran.push_back(capped.now()); });
+  }
+  EXPECT_EQ(capped.run(), RunStatus::horizon);
+  EXPECT_EQ(ran, (std::vector<Time>{10, 49}));
+  EXPECT_EQ(capped.next_event_time(), std::optional<Time>(50));
+  // Stepping does not consult the horizon: the rest dispatch in order.
+  while (capped.run_one()) {
+  }
+  EXPECT_EQ(ran, (std::vector<Time>{10, 49, 50, 60}));
 }
 
 TEST(PartySetUtil, SubsetIteration) {
