@@ -75,7 +75,10 @@ void print_schedule(bench::BenchReport& report, int ts, int ta,
     std::string async_outcome = x < ta ? "Success/Wait"
                                        : (x == ta ? "Success" : "-");
     std::string label = "ts+ta+1";
-    if (x > 0) label += "+" + std::to_string(x);
+    if (x > 0) {
+      label += '+';
+      label += std::to_string(x);
+    }
     label += " (=" + std::to_string(m) + ")";
     t.row(label, correct, detect, sync_outcome, async_outcome,
           empirical[static_cast<std::size_t>(x)]);

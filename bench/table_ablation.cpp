@@ -49,9 +49,11 @@ Stats run_wss(ProtocolParams p, int num_secrets, int instances, bool ideal,
   for (int inst = 0; inst < instances; ++inst) {
     WssOptions opts;
     opts.num_secrets = num_secrets;
+    std::string key = "w";
+    key += std::to_string(inst);
     for (int i = 0; i < p.n; ++i) {
-      all[static_cast<std::size_t>(inst)].push_back(&sim.party(i).spawn<Wss>(
-          "w" + std::to_string(inst), 0, 0, opts, nullptr));
+      all[static_cast<std::size_t>(inst)].push_back(
+          &sim.party(i).spawn<Wss>(key, 0, 0, opts, nullptr));
     }
     std::vector<Polynomial> qs;
     for (int k = 0; k < num_secrets; ++k) {

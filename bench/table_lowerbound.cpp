@@ -54,8 +54,9 @@ int main(int argc, char** argv) {
   for (const AttackOutcome& w : witnesses) {
     const bool broken = !w.correct();
     all_broken = all_broken && broken;
-    t.row(rule_name(w.rule), w.x1 ? 1 : 0, w.x2 ? 1 : 0,
-          "P" + std::to_string(w.corrupt_relay + 1),
+    std::string relay = "P";
+    relay += std::to_string(w.corrupt_relay + 1);
+    t.row(rule_name(w.rule), w.x1 ? 1 : 0, w.x2 ? 1 : 0, relay,
           w.lie_to_p2 ? 1 : 0, w.p1_output ? 1 : 0, w.p2_output ? 1 : 0,
           broken ? (w.agree() ? "wrong output" : "DISAGREEMENT")
                  : "survived (?)");

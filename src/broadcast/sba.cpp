@@ -1,7 +1,8 @@
 #include "broadcast/sba.h"
 
 #include <algorithm>
-#include <vector>
+#include <map>
+#include <span>
 
 namespace nampc {
 
@@ -47,6 +48,14 @@ struct IdealSbaGadget {
   }
 };
 
+/// Element `phase` of a per-phase vector, grown on first use.
+template <typename T>
+T& phase_slot(std::vector<T>& slots, int phase) {
+  const auto i = static_cast<std::size_t>(phase);
+  if (i >= slots.size()) slots.resize(i + 1);
+  return slots[i];
+}
+
 }  // namespace
 
 Sba::Sba(Party& party, std::string key, OutputFn on_output)
@@ -59,14 +68,6 @@ Words Sba::encode_value(const SbaValue& v) {
   w.boolean(v.has_value());
   w.vec(v.has_value() ? *v : Words{});
   return std::move(w).take();
-}
-
-SbaValue Sba::decode_value(const Words& payload) {
-  Reader r(payload);
-  const bool present = r.boolean();
-  Words body = r.vec();
-  if (!present) return std::nullopt;
-  return body;
 }
 
 void Sba::start(SbaValue input) {
@@ -129,33 +130,42 @@ void Sba::on_message(const Message& msg) {
   const int phase = static_cast<int>(r.u64());
   // LINT:threshold(sba.phase_count)
   if (phase < 0 || phase > params().ts) return;
-  const SbaValue v = decode_value(r.vec());
+  // The value (encode_value's layout) is read in place and copied only when
+  // it is kept; a malformed one throws before any state changes.
+  Reader value(r.view());
+  const bool present = value.boolean();
+  const std::span<const Word> body = value.view();
+  const auto same = [&](const SbaValue& v) {
+    return v.has_value() == present &&
+           (!present || std::ranges::equal(*v, body));
+  };
+  const auto copy = [&]() -> SbaValue {
+    if (!present) return std::nullopt;
+    return Words(body.begin(), body.end());
+  };
   if (msg.type == kExchange) {
-    exchange_msgs_.emplace(std::make_pair(phase, msg.from), v);
+    Tally& tally = phase_slot(exchange_, phase);
+    if (tally.senders.contains(msg.from)) return;
+    tally.senders.insert(msg.from);
+    const auto it = std::ranges::find_if(tally.counts, same,
+                                         &std::pair<SbaValue, int>::first);
+    if (it != tally.counts.end()) {
+      ++it->second;
+    } else {
+      tally.counts.emplace_back(copy(), 1);
+    }
   } else if (msg.type == kKing) {
     if (msg.from != phase % n()) return;  // only the phase king may speak
-    king_msgs_.emplace(phase, v);
+    std::optional<SbaValue>& king = phase_slot(king_, phase);
+    if (!king.has_value()) king = copy();
   }
 }
 
 void Sba::tally_exchange(int phase) {
   // Most frequent value among this phase's exchange messages.
-  std::vector<std::pair<SbaValue, int>> tally;
-  for (const auto& [key_pair, v] : exchange_msgs_) {
-    if (key_pair.first != phase) continue;
-    bool found = false;
-    for (auto& [tv, count] : tally) {
-      if (tv == v) {
-        ++count;
-        found = true;
-        break;
-      }
-    }
-    if (!found) tally.emplace_back(v, 1);
-  }
   phase_majority_ = std::nullopt;
   phase_majority_count_ = 0;
-  for (const auto& [tv, count] : tally) {
+  for (const auto& [tv, count] : phase_slot(exchange_, phase).counts) {
     if (count > phase_majority_count_ ||
         (count == phase_majority_count_ && sba_value_less(tv, phase_majority_))) {
       phase_majority_ = tv;
@@ -176,8 +186,7 @@ void Sba::conclude_phase(int phase) {
   if (phase_majority_count_ >= n() - params().ts) {
     value_ = phase_majority_;
   } else {
-    const auto it = king_msgs_.find(phase);
-    value_ = it != king_msgs_.end() ? it->second : std::nullopt;
+    value_ = phase_slot(king_, phase).value_or(std::nullopt);
   }
 }
 

@@ -15,8 +15,9 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "net/simulation.h"
 
@@ -56,7 +57,6 @@ class Sba : public ProtocolInstance {
   void finish();
 
   [[nodiscard]] static Words encode_value(const SbaValue& v);
-  [[nodiscard]] static SbaValue decode_value(const Words& payload);
 
   OutputFn on_output_;
   bool started_ = false;
@@ -65,9 +65,17 @@ class Sba : public ProtocolInstance {
   SbaValue value_;
   SbaValue output_;
 
-  // Full-mode state: first message per (phase, sender).
-  std::map<std::pair<int, PartyId>, SbaValue> exchange_msgs_;
-  std::map<int, SbaValue> king_msgs_;  // first KING message per phase
+  // Full-mode state, indexed by phase and grown to a phase when it is first
+  // used, so a constructed instance allocates nothing. Each EXCHANGE tally
+  // holds the senders already counted (only a sender's first message counts)
+  // and each distinct value with its count: O((ts+1) · distinct values)
+  // words, not a copy per (phase, sender).
+  struct Tally {
+    PartySet senders;
+    std::vector<std::pair<SbaValue, int>> counts;
+  };
+  std::vector<Tally> exchange_;
+  std::vector<std::optional<SbaValue>> king_;  // first KING value per phase
   SbaValue phase_majority_;
   int phase_majority_count_ = 0;
 };

@@ -54,7 +54,9 @@ Mpc::Mpc(Party& party, std::string key, const Circuit& circuit,
     vts_[static_cast<std::size_t>(z)].resize(static_cast<std::size_t>(nn));
     inp_[static_cast<std::size_t>(z)].resize(static_cast<std::size_t>(nn));
     for (int d = 0; d < nn; ++d) {
-      const std::string pfx = "z" + std::to_string(z) + "/";
+      std::string pfx = "z";
+      pfx += std::to_string(z);
+      pfx += '/';
       vts_[static_cast<std::size_t>(z)][static_cast<std::size_t>(d)] =
           &make_child<Vts>(pfx + "vts" + std::to_string(d), d, 0,
                            triples_per_dealer_, subsets_[static_cast<std::size_t>(z)],

@@ -85,7 +85,9 @@ void write_run_report(std::ostream& os, const Simulation& sim,
   w.kv("rs_decodes", m.rs_decodes);
   w.key("honest_polys_revealed").begin_object();
   for (const auto& [dealer, count] : m.honest_polys_revealed) {
-    w.kv("P" + std::to_string(dealer), count);
+    std::string name = "P";
+    name += std::to_string(dealer);
+    w.kv(name, count);
   }
   w.end_object();
   w.end_object();

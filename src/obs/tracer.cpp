@@ -122,7 +122,9 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     w.begin_object();
     w.kv("ph", "M").kv("name", "process_name").kv("pid", party).kv("tid", 0);
     w.key("args").begin_object();
-    w.kv("name", "P" + std::to_string(party));
+    std::string name = "P";
+    name += std::to_string(party);
+    w.kv("name", name);
     w.end_object();
     w.end_object();
   }

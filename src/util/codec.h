@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/assert.h"
@@ -60,7 +61,7 @@ class DecodeError : public std::runtime_error {
 /// Consumes structured data from a word span.
 class Reader {
  public:
-  explicit Reader(const Words& words) : words_(words) {}
+  explicit Reader(std::span<const Word> words) : words_(words) {}
 
   [[nodiscard]] std::uint64_t u64() {
     if (pos_ >= words_.size()) throw DecodeError("payload truncated");
@@ -69,13 +70,20 @@ class Reader {
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] bool boolean() { return u64() != 0; }
 
-  [[nodiscard]] Words vec() {
+  /// Length-prefixed word vector, returned as a view into the payload
+  /// rather than a copy: valid only while the payload lives. Throws on the
+  /// same inputs as vec().
+  [[nodiscard]] std::span<const Word> view() {
     const std::uint64_t len = u64();
     if (len > words_.size() - pos_) throw DecodeError("bad vector length");
-    Words v(words_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            words_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
+    const std::span<const Word> v = words_.subspan(pos_, len);
     pos_ += len;
     return v;
+  }
+
+  [[nodiscard]] Words vec() {
+    const std::span<const Word> v = view();
+    return Words(v.begin(), v.end());
   }
 
   template <typename T, typename Fn>
@@ -92,7 +100,7 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const { return words_.size() - pos_; }
 
  private:
-  const Words& words_;
+  std::span<const Word> words_;
   std::size_t pos_ = 0;
 };
 

@@ -1,9 +1,16 @@
-// Protocol tests: Acast (Lemma 4.4), Π_BC (Lemma 4.6), Π_BA (Lemma 4.8),
-// in both networks, with honest and corrupt senders, Full and Ideal modes.
+// Protocol tests: Acast (Lemma 4.4), Π_SBA, Π_BC (Lemma 4.6), Π_BA
+// (Lemma 4.8), in both networks, with honest and corrupt senders, Full and
+// Ideal modes.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <map>
+#include <set>
+#include <utility>
 
 #include "broadcast/ba.h"
 #include "broadcast/bc.h"
+#include "broadcast/sba.h"
 #include "sim_helpers.h"
 
 namespace nampc {
@@ -88,6 +95,351 @@ TEST_P(AcastNetworkTest, EquivocatingSenderStaysConsistent) {
 INSTANTIATE_TEST_SUITE_P(Networks, AcastNetworkTest,
                          ::testing::Values(NetworkKind::synchronous,
                                            NetworkKind::asynchronous));
+
+// ----------------------------------------------------------------- SBA --
+
+constexpr int kSbaExchange = 1;  // Sba's wire types
+constexpr int kSbaKing = 2;
+
+/// Records the (type, payload) of every message delivered to its key.
+class SbaProbe : public ProtocolInstance {
+ public:
+  SbaProbe(Party& party, std::string key)
+      : ProtocolInstance(party, std::move(key)) {}
+
+  void on_message(const Message& msg) override {
+    seen.emplace_back(msg.type, msg.payload);
+  }
+
+  std::vector<std::pair<int, Words>> seen;
+};
+
+Words sba_encode(const SbaValue& v) {
+  Writer w;
+  w.boolean(v.has_value());
+  w.vec(v.has_value() ? *v : Words{});
+  return std::move(w).take();
+}
+
+Words sba_payload(Word phase, const Words& value) {
+  Writer w;
+  w.u64(phase);
+  w.vec(value);
+  return std::move(w).take();
+}
+
+/// One party of phase-king SBA with whole-value maps: the first EXCHANGE
+/// per (phase, sender) and the first KING per phase are stored, and every
+/// tally rescans them. The reference for Sba's incremental per-phase
+/// tallies; `sent` records each send_all in order.
+struct MapSba {
+  MapSba(const ProtocolParams& params, PartyId self, SbaValue input)
+      : n(params.n), ts(params.ts), me(self), value(std::move(input)) {}
+
+  int n;
+  int ts;
+  PartyId me;
+  SbaValue value;
+  std::map<std::pair<int, PartyId>, SbaValue> exchange_msgs;
+  std::map<int, SbaValue> king_msgs;
+  SbaValue majority;
+  int majority_count = 0;
+  std::vector<std::pair<int, Words>> sent;
+
+  void on_message(PartyId from, int type, const Words& payload) {
+    try {
+      Reader r(payload);
+      const int phase = static_cast<int>(r.u64());
+      if (phase < 0 || phase > ts) return;
+      const Words inner = r.vec();
+      Reader ir(inner);
+      const bool present = ir.boolean();
+      Words body = ir.vec();
+      const SbaValue v =
+          present ? SbaValue(std::move(body)) : SbaValue(std::nullopt);
+      if (type == kSbaExchange) {
+        exchange_msgs.emplace(std::make_pair(phase, from), v);
+      } else if (type == kSbaKing) {
+        if (from != phase % n) return;
+        king_msgs.emplace(phase, v);
+      }
+    } catch (const DecodeError&) {
+      // Malformed: dropped, like Party::deliver does.
+    }
+  }
+
+  // The copy to self arrives in the sending tick, before the next timer.
+  void send_all(int type, const Words& payload) {
+    sent.emplace_back(type, payload);
+    on_message(me, type, payload);
+  }
+
+  void run_exchange(int phase) {
+    send_all(kSbaExchange, sba_payload(static_cast<Word>(phase),
+                                       sba_encode(value)));
+  }
+
+  void tally_exchange(int phase) {
+    std::vector<std::pair<SbaValue, int>> tally;
+    for (const auto& [key, v] : exchange_msgs) {
+      if (key.first != phase) continue;
+      bool found = false;
+      for (auto& [tv, count] : tally) {
+        if (tv == v) {
+          ++count;
+          found = true;
+          break;
+        }
+      }
+      if (!found) tally.emplace_back(v, 1);
+    }
+    majority = std::nullopt;
+    majority_count = 0;
+    for (const auto& [tv, count] : tally) {
+      if (count > majority_count ||
+          (count == majority_count && sba_value_less(tv, majority))) {
+        majority = tv;
+        majority_count = count;
+      }
+    }
+    if (me == phase % n) {
+      send_all(kSbaKing, sba_payload(static_cast<Word>(phase),
+                                     sba_encode(majority)));
+    }
+  }
+
+  void conclude_phase(int phase) {
+    if (majority_count >= n - ts) {
+      value = majority;
+    } else {
+      const auto it = king_msgs.find(phase);
+      value = it != king_msgs.end() ? it->second : std::nullopt;
+    }
+  }
+};
+
+struct CraftedDelivery {
+  Time at;
+  PartyId from;
+  int type;
+  Words payload;
+};
+
+/// Runs `ref` over `log` (in scheduling order) on Sba's phase schedule: at
+/// each tick the deliveries first (klass 0), then the timers in the order
+/// Sba::start schedules them. Returns the output at T_SBA.
+SbaValue replay_map_sba(MapSba& ref, const std::vector<CraftedDelivery>& log,
+                        Time delta) {
+  std::map<Time, std::vector<std::function<void()>>> timers;
+  for (int p = 0; p <= ref.ts; ++p) {
+    const Time start = 2 * p * delta;
+    timers[start].push_back([&ref, p] { ref.run_exchange(p); });
+    timers[start + delta].push_back([&ref, p] { ref.tally_exchange(p); });
+    timers[start + 2 * delta].push_back([&ref, p] { ref.conclude_phase(p); });
+  }
+  std::set<Time> ticks;
+  for (const auto& [t, fns] : timers) ticks.insert(t);
+  for (const CraftedDelivery& d : log) ticks.insert(d.at);
+  for (const Time t : ticks) {
+    if (t > 2 * (ref.ts + 1) * delta) break;  // output already fixed
+    for (const CraftedDelivery& d : log) {
+      if (d.at == t) ref.on_message(d.from, d.type, d.payload);
+    }
+    if (const auto it = timers.find(t); it != timers.end()) {
+      for (const auto& fn : it->second) fn();
+    }
+  }
+  return ref.value;
+}
+
+/// Seeded EXCHANGE/KING traffic to party 0 from parties 1..n-1 for phases
+/// 0..ts, on ticks before and after each phase's tally: well-formed values
+/// in several encodings, repeats from one sender, KING messages from kings
+/// and non-kings, malformed payloads and out-of-range phases.
+std::vector<CraftedDelivery> craft_sba_traffic(Rng& rng, int n, int ts,
+                                               Time delta) {
+  const std::vector<SbaValue> pool = {std::nullopt, Words{},     Words{5},
+                                      Words{5, 6},  Words{6, 5}, Words{5, 6, 7}};
+  const auto pick = [&] { return pool[rng.next_below(pool.size())]; };
+  const auto sender = [&] {
+    return static_cast<PartyId>(1 + rng.next_below(static_cast<Word>(n - 1)));
+  };
+  // One of the encodings that decode to v.
+  const auto encode = [&](Word phase, const SbaValue& v) {
+    Words inner;
+    const Word shape = rng.next_below(4);
+    inner.push_back(v.has_value() ? (shape == 1 ? 2 : 1) : 0);
+    const Words body = v.has_value() ? *v : shape == 2 ? Words{9, 9} : Words{};
+    inner.push_back(body.size());
+    inner.insert(inner.end(), body.begin(), body.end());
+    if (shape == 3) inner.push_back(rng.next_u64());  // trailing word
+    Words payload = sba_payload(phase, inner);
+    if (rng.next_below(5) == 0) payload.push_back(77);  // trailing word
+    return payload;
+  };
+  const Time end = 2 * (ts + 1) * delta;
+  std::vector<CraftedDelivery> log;
+  for (int phase = 0; phase <= ts; ++phase) {
+    const Time tally_at = 2 * phase * delta + delta;
+    const auto word = static_cast<Word>(phase);
+    // Half the phases lean to one value so that the n-ts quorum is met.
+    const bool lean = rng.next_bool();
+    const SbaValue favourite = pick();
+    for (PartyId from = 1; from < n; ++from) {
+      const Word copies = rng.next_below(4);
+      for (Word c = 0; c < copies; ++c) {
+        const SbaValue v = lean && rng.next_below(5) != 0 ? favourite : pick();
+        const Time at =
+            rng.next_below(4) == 0
+                ? tally_at + 1 +
+                      static_cast<Time>(
+                          rng.next_below(static_cast<Word>(2 * delta)))
+                : static_cast<Time>(
+                      rng.next_below(static_cast<Word>(tally_at + 1)));
+        log.push_back({at, from, kSbaExchange, encode(word, v)});
+      }
+    }
+    for (int c = 0; c < 3; ++c) {
+      const PartyId king = phase % n;
+      const PartyId from = c < 2 && king != 0 ? king : sender();
+      const auto at = static_cast<Time>(
+          rng.next_below(static_cast<Word>(tally_at + 2 * delta)));
+      log.push_back({at, from, kSbaKing, encode(word, pick())});
+    }
+  }
+  for (int i = 0; i < 16; ++i) {
+    const Word phase = rng.next_below(static_cast<Word>(ts + 1));
+    Words payload;
+    switch (rng.next_below(8)) {
+      case 0: break;                                    // empty
+      case 1: payload = {phase}; break;                 // no value
+      case 2: payload = {phase, 9, 1, 0}; break;        // value overruns
+      case 3: payload = sba_payload(phase, {1}); break;  // flag only
+      case 4: payload = sba_payload(phase, {1, 5, 7}); break;  // body overruns
+      case 5:
+        payload = encode(static_cast<Word>(ts + 1) + rng.next_below(3), pick());
+        break;
+      case 6: payload = encode(0xffffffffull, pick()); break;  // phase -1
+      default: payload = encode((1ull << 32) | phase, pick()); break;
+    }
+    const int type = rng.next_bool() ? kSbaExchange : kSbaKing;
+    const auto at = static_cast<Time>(rng.next_below(static_cast<Word>(end)));
+    log.push_back({at, sender(), type, std::move(payload)});
+  }
+  for (std::size_t i = log.size(); i > 1; --i) {
+    std::swap(log[i - 1], log[rng.next_below(i)]);
+  }
+  return log;
+}
+
+// Sba's per-phase tallies against the map-based reference, message for
+// message: party 0 runs Sba, everything it hears from parties 1..6 is
+// crafted, and party 1 holds a probe that records what party 0 sends.
+TEST(Sba, TallyMatchesReferenceOnCraftedTraffic) {
+  const ProtocolParams params = testing::p7_2_1();
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE(seed);
+    auto sim = make_sim({.params = params, .seed = seed});
+    const Time delta = sim->timing().delta;
+    Rng rng(seed);
+    const std::vector<CraftedDelivery> log =
+        craft_sba_traffic(rng, params.n, params.ts, delta);
+    const SbaValue input = rng.next_bool() ? SbaValue(Words{5, 6}) : std::nullopt;
+
+    Sba& sba = sim->party(0).spawn<Sba>("sba", nullptr);
+    SbaProbe& probe = sim->party(1).spawn<SbaProbe>("sba");
+    sba.start(input);
+    for (const CraftedDelivery& d : log) {
+      Message msg;
+      msg.from = d.from;
+      msg.to = 0;
+      msg.type = d.type;
+      msg.instance_id = sba.instance_id();
+      msg.instance_name = &sba.key();
+      msg.payload = d.payload;
+      sim->schedule_delivery(d.at, std::move(msg));
+    }
+    EXPECT_EQ(sim->run(), RunStatus::quiescent);
+
+    MapSba ref(params, 0, input);
+    const SbaValue expected = replay_map_sba(ref, log, delta);
+    ASSERT_TRUE(sba.has_output());
+    EXPECT_EQ(sba.output(), expected);
+    EXPECT_EQ(probe.seen, ref.sent);
+  }
+}
+
+struct SbaHarness {
+  std::unique_ptr<Simulation> sim;
+  std::vector<Sba*> instances;
+
+  SbaHarness(const SimSpec& spec, std::shared_ptr<Adversary> adv)
+      : sim(make_sim(spec, std::move(adv))) {
+    for (int i = 0; i < sim->n(); ++i) {
+      instances.push_back(&sim->party(i).spawn<Sba>("sba", nullptr));
+    }
+  }
+};
+
+// Corrupt party 2 (also phase 2's king) sends every recipient a different
+// value in each of its EXCHANGE and KING messages.
+TEST(Sba, ValidityAndConsistencyUnderEquivocation) {
+  const auto equivocating = [] {
+    auto adv = std::make_shared<ScriptedAdversary>(PartySet::of({2}));
+    adv->add_rule(
+        [](const Message& m, Time) {
+          return m.from == 2 && (m.type == kSbaExchange || m.type == kSbaKing);
+        },
+        [](const Message& m, Time, Rng&) {
+          Reader r(m.payload);
+          const Word phase = r.u64();
+          const SbaValue v = m.to % 3 == 0
+                                 ? SbaValue(std::nullopt)
+                                 : SbaValue(Words{static_cast<Word>(m.to)});
+          SendDecision d;
+          Message alt = m;
+          alt.payload = sba_payload(phase, sba_encode(v));
+          d.replacement = std::move(alt);
+          return d;
+        });
+    return adv;
+  };
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    // Validity: a unanimous honest input is the output.
+    SbaHarness unanimous({.params = testing::p7_2_1(), .seed = seed},
+                         equivocating());
+    for (int i = 0; i < 7; ++i) {
+      unanimous.instances[static_cast<std::size_t>(i)]->start(
+          i == 2 ? SbaValue(Words{9}) : SbaValue(Words{4, 2}));
+    }
+    EXPECT_EQ(unanimous.sim->run(), RunStatus::quiescent);
+    for (int i = 0; i < 7; ++i) {
+      if (i == 2) continue;
+      const Sba& sba = *unanimous.instances[static_cast<std::size_t>(i)];
+      ASSERT_TRUE(sba.has_output());
+      EXPECT_EQ(sba.output(), SbaValue(Words{4, 2}));
+    }
+
+    // Consistency: mixed honest inputs, one honest output.
+    SbaHarness mixed({.params = testing::p7_2_1(), .seed = seed},
+                     equivocating());
+    Rng rng(seed);
+    const std::vector<SbaValue> inputs = {std::nullopt, Words{1}, Words{2}};
+    for (Sba* sba : mixed.instances) {
+      sba->start(inputs[rng.next_below(inputs.size())]);
+    }
+    EXPECT_EQ(mixed.sim->run(), RunStatus::quiescent);
+    ASSERT_TRUE(mixed.instances[0]->has_output());
+    const SbaValue agreed = mixed.instances[0]->output();
+    for (int i = 1; i < 7; ++i) {
+      if (i == 2) continue;
+      const Sba& sba = *mixed.instances[static_cast<std::size_t>(i)];
+      ASSERT_TRUE(sba.has_output());
+      EXPECT_EQ(sba.output(), agreed);
+    }
+  }
+}
 
 // ------------------------------------------------------------------ BC --
 

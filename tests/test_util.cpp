@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 
 #include "net/time.h"
 #include "util/codec.h"
@@ -45,6 +46,27 @@ TEST(Codec, BadLengthPrefixThrows) {
   Words words{100, 1, 2};  // claims 100 elements, has 2
   Reader r(words);
   EXPECT_THROW((void)r.vec(), DecodeError);
+}
+
+TEST(Codec, ViewAliasesPayload) {
+  Writer w;
+  w.u64(7).vec({1, 2, 3}).vec({});
+  const Words words = std::move(w).take();
+  Reader r(words);
+  EXPECT_EQ(r.u64(), 7u);
+  const std::span<const Word> v = r.view();
+  EXPECT_EQ(v.data(), words.data() + 2);  // no copy
+  EXPECT_EQ(v.size(), 3u);
+  EXPECT_TRUE(r.view().empty());
+  EXPECT_TRUE(r.done());
+  // view() rejects exactly the inputs vec() rejects.
+  for (const Words& bad :
+       {Words{}, Words{1}, Words{3, 1, 2}, Words{100, 1, 2}, Words{~0ull}}) {
+    Reader as_view(bad);
+    Reader as_vec(bad);
+    EXPECT_THROW((void)as_view.view(), DecodeError);
+    EXPECT_THROW((void)as_vec.vec(), DecodeError);
+  }
 }
 
 TEST(Codec, SeqRoundTrip) {
