@@ -60,7 +60,6 @@ struct E2eResult {
   std::uint64_t events = 0;
   std::uint64_t peak_queue = 0;
   std::uint64_t pool_hits = 0;
-  std::uint64_t recycled = 0;
   std::uint64_t violations = 0;
   double wall_ms = 0;
   RunStatus status = RunStatus::quiescent;
@@ -120,7 +119,6 @@ E2eResult run_sharing(ProtocolParams p, NetworkKind kind,
   r.events = m.events_processed;
   r.peak_queue = m.peak_queue_depth;
   r.pool_hits = m.payload_pool_hits;
-  r.recycled = m.payloads_recycled;
   r.violations = mon_guard.engine().violations().size();
   return r;
 }
@@ -191,7 +189,6 @@ E2eResult run_bc(int n, NetworkKind kind) {
   r.events = m.events_processed;
   r.peak_queue = m.peak_queue_depth;
   r.pool_hits = m.payload_pool_hits;
-  r.recycled = m.payloads_recycled;
   r.violations = mon_guard.engine().violations().size();
   return r;
 }
@@ -201,13 +198,13 @@ void add_e2e_row(bench::Table& t, int n, NetworkKind kind,
   const ProtocolParams p = params_for(n);
   t.row(n, p.ts, p.ta, kind == NetworkKind::synchronous ? "sync" : "async",
         r.with_rows, r.no_output, r.latest, r.messages, r.words, r.events,
-        r.peak_queue, r.pool_hits, r.recycled, fixed2(r.wall_ms));
+        r.peak_queue, r.pool_hits, fixed2(r.wall_ms));
 }
 
 const std::vector<std::string> kE2eHeaders = {
     "n",      "ts",         "ta",        "network",   "output",
     "none",   "latest t",   "messages",  "words",     "events",
-    "peak q", "pool hits",  "recycled",  "wall ms"};
+    "peak q", "pool hits",  "wall ms"};
 
 // ------------------------------------------------------------- kernels ---
 

@@ -52,7 +52,7 @@ Result run(ProtocolParams p, NetworkKind kind, const std::string& attack,
         [](const Message& m, Time, Rng&) {
           SendDecision d;
           Message alt = m;
-          for (Word& w : alt.payload) w = (Fp(w) + Fp(9)).value();
+          for (Word& w : alt.payload.mut()) w = (Fp(w) + Fp(9)).value();
           d.replacement = std::move(alt);
           return d;
         });

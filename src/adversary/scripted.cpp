@@ -45,7 +45,7 @@ ScriptedAdversary& ScriptedAdversary::garble_on(PartyId p,
       [](const Message& m, Time, Rng&) {
         SendDecision d;
         Message garbled = m;
-        for (Word& w : garbled.payload) {
+        for (Word& w : garbled.payload.mut()) {
           w = (Fp(w) + Fp(1)).value();
         }
         d.replacement = std::move(garbled);

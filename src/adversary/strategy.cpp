@@ -41,7 +41,7 @@ SendDecision ScriptedStrategy::apply(const StrategyAction& action,
     case StrategyAction::Kind::garble: {
       if (msg.payload.empty()) break;
       Message repl = msg;
-      for (Word& w : repl.payload) w = (Fp(w) + Fp(1)).value();
+      for (Word& w : repl.payload.mut()) w = (Fp(w) + Fp(1)).value();
       d.replacement = std::move(repl);
       break;
     }
@@ -56,7 +56,7 @@ SendDecision ScriptedStrategy::apply(const StrategyAction& action,
       Message repl = msg;
       std::size_t idx = static_cast<std::size_t>(action.value);
       if (idx >= repl.payload.size()) idx = repl.payload.size() - 1;
-      repl.payload[idx] ^= 1u;
+      repl.payload.mut()[idx] ^= 1u;
       d.replacement = std::move(repl);
       break;
     }

@@ -12,7 +12,7 @@ Acast::Acast(Party& party, std::string key, PartyId sender, OutputFn on_output)
 void Acast::start(Words message) {
   NAMPC_REQUIRE(my_id() == sender_, "only the sender starts an Acast");
   notify_input(message);
-  send_all(kInit, message);
+  send_all(kInit, std::move(message));
 }
 
 void Acast::on_message(const Message& msg) {
@@ -22,7 +22,7 @@ void Acast::on_message(const Message& msg) {
       maybe_echo(msg.payload);
       break;
     case kEcho: {
-      PartySet& who = echoes_[msg.payload];
+      PartySet& who = voters(echoes_, msg.payload);
       who.insert(msg.from);
       // LINT:threshold(acast.echo_quorum)
       if (who.size() >= n() - params().ts) {
@@ -31,7 +31,7 @@ void Acast::on_message(const Message& msg) {
       break;
     }
     case kReady: {
-      PartySet& who = readies_[msg.payload];
+      PartySet& who = voters(readies_, msg.payload);
       who.insert(msg.from);
       // LINT:threshold(acast.ready_support)
       if (who.size() >= params().ts + 1) {
@@ -48,25 +48,32 @@ void Acast::on_message(const Message& msg) {
   }
 }
 
-void Acast::maybe_echo(const Words& m) {
+PartySet& Acast::voters(Votes& votes, const Payload& m) {
+  for (auto& [value, who] : votes) {
+    if (value.data() == m.data() || value.words() == m.words()) return who;
+  }
+  return votes.emplace_back(m, PartySet{}).second;
+}
+
+void Acast::maybe_echo(const Payload& m) {
   if (echoed_) return;
   echoed_ = true;
   send_all(kEcho, m);
 }
 
-void Acast::maybe_ready(const Words& m) {
+void Acast::maybe_ready(const Payload& m) {
   if (readied_) return;
   readied_ = true;
   send_all(kReady, m);
 }
 
-void Acast::maybe_output(const Words& m) {
+void Acast::maybe_output(const Payload& m) {
   if (output_.has_value()) return;
   output_ = m;
   output_time_ = now();
   span_done();
   notify_output(m);
-  if (on_output_) on_output_(*output_);
+  if (on_output_) on_output_(output_->words());
 }
 
 }  // namespace nampc

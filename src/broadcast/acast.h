@@ -9,8 +9,9 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "net/simulation.h"
 #include "util/small_set.h"
@@ -30,7 +31,7 @@ class Acast : public ProtocolInstance {
   [[nodiscard]] bool has_output() const { return output_.has_value(); }
   [[nodiscard]] const Words& output() const {
     NAMPC_REQUIRE(output_.has_value(), "acast has no output yet");
-    return *output_;
+    return output_->words();
   }
   /// Virtual time at which this party produced its output.
   [[nodiscard]] Time output_time() const { return output_time_; }
@@ -40,19 +41,24 @@ class Acast : public ProtocolInstance {
  private:
   enum MsgType { kInit = 1, kEcho = 2, kReady = 3 };
 
-  void maybe_echo(const Words& m);
-  void maybe_ready(const Words& m);
-  void maybe_output(const Words& m);
+  // Per candidate message value: who echoed / readied it. One entry per
+  // distinct value, found by body identity first (honest parties forward
+  // the body they received, so most votes share one) and then by words.
+  using Votes = std::vector<std::pair<Payload, PartySet>>;
+  [[nodiscard]] static PartySet& voters(Votes& votes, const Payload& m);
+
+  void maybe_echo(const Payload& m);
+  void maybe_ready(const Payload& m);
+  void maybe_output(const Payload& m);
 
   PartyId sender_;
   OutputFn on_output_;
   bool echoed_ = false;
   bool readied_ = false;
-  std::optional<Words> output_;
+  std::optional<Payload> output_;
   Time output_time_ = -1;
-  // Per candidate message value: who echoed / readied it.
-  std::map<Words, PartySet> echoes_;
-  std::map<Words, PartySet> readies_;
+  Votes echoes_;
+  Votes readies_;
 };
 
 }  // namespace nampc

@@ -28,8 +28,13 @@
 //     therefore only ever exercise scheduling power.
 //  2. Corrupt freedom. If the sender is corrupt, the adversary may drop the
 //     message, replace its type/payload, or delay it arbitrarily — including
-//     forever (silence). A corrupt party runs honest code in this model; all
-//     Byzantine behaviour is expressed at this network boundary.
+//     forever (silence). A replacement keeps the original `instance_id` and
+//     `instance_name`: it changes what the message says, not which protocol
+//     instance receives it. A rewritten payload goes through
+//     Payload::mut(), which clones the body shared with the rest of the
+//     fan-out, so the rewrite reaches only this recipient. A corrupt party
+//     runs honest code in this model; all Byzantine behaviour is expressed
+//     at this network boundary.
 //  3. Authenticated channels. Even for a corrupt sender, `from`/`to` of a
 //     replacement must equal the original endpoints: channels are
 //     authenticated point-to-point links (§3.1), so the adversary can neither

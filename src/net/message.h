@@ -1,7 +1,10 @@
 // Point-to-point messages between simulated parties.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <string>
 
 #include "util/codec.h"
@@ -15,6 +18,60 @@ using PartyId = int;
 /// in the metrics registry's "unattributed" cell under this id.
 inline constexpr std::uint32_t kNoInstance = 0xffffffffu;
 
+/// An immutable, reference-counted message body. Copies share one body, so
+/// a send_all hands the same words to all n recipients and a protocol can
+/// forward a body it received without copying it (Acast's ECHO/READY). An
+/// empty Payload holds no body at all.
+///
+/// Reads go through the const view below; it is enough for std::span's
+/// range constructor, so `Reader r(msg.payload)` reads in place. The one
+/// writer is mut(), which clones a shared body first: only the adversary's
+/// rewrites of corrupt traffic call it (handlers get a const Message&), and
+/// a rewrite for one recipient never reaches another or the sender's copy.
+class Payload {
+ public:
+  Payload() = default;
+  // Implicit on purpose, both ways: Words arguments move into the body
+  // (no word copy), and a Payload reads as `const Words&`.
+  Payload(Words words)
+      : body_(words.empty() ? nullptr
+                            : std::make_shared<Words>(std::move(words))) {}
+  Payload(std::initializer_list<Word> words) : Payload(Words(words)) {}
+
+  [[nodiscard]] const Words& words() const {
+    static const Words kEmpty;
+    return body_ != nullptr ? *body_ : kEmpty;
+  }
+  operator const Words&() const { return words(); }
+
+  [[nodiscard]] const Word* data() const {
+    return body_ != nullptr ? body_->data() : nullptr;
+  }
+  [[nodiscard]] std::size_t size() const {
+    return body_ != nullptr ? body_->size() : 0;
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] const Word* begin() const { return data(); }
+  [[nodiscard]] const Word* end() const {
+    return body_ != nullptr ? body_->data() + body_->size() : nullptr;
+  }
+
+  /// Copy-on-write access: clones the body when another Payload shares it
+  /// (or allocates one when empty), so the words returned are this
+  /// Payload's alone.
+  [[nodiscard]] Words& mut() {
+    if (body_ == nullptr) {
+      body_ = std::make_shared<Words>();
+    } else if (body_.use_count() > 1) {
+      body_ = std::make_shared<Words>(*body_);
+    }
+    return *body_;
+  }
+
+ private:
+  std::shared_ptr<Words> body_;
+};
+
 /// A message addressed to a protocol instance on the receiving party.
 ///
 /// Routing keys are hierarchical strings ("vss0/it2/inner3/acast"), but the
@@ -25,7 +82,8 @@ inline constexpr std::uint32_t kNoInstance = 0xffffffffu;
 /// run) so adversary filters and tracers can still match on the text via
 /// instance() without a lookup.
 ///
-/// `type` is a protocol-defined tag; `payload` is the word-encoded body.
+/// `type` is a protocol-defined tag; `payload` is the word-encoded body,
+/// shared with every other message of the same fan-out.
 ///
 /// Channels are authenticated point-to-point links: what the adversary may
 /// do to a message in flight (drop/rewrite only for corrupt `from`, delay
@@ -37,7 +95,7 @@ struct Message {
   int type = 0;
   std::uint32_t instance_id = 0;
   const std::string* instance_name = nullptr;
-  Words payload;
+  Payload payload;
 
   /// The routing key text (interned; valid for the simulation's lifetime).
   [[nodiscard]] const std::string& instance() const { return *instance_name; }

@@ -13,12 +13,6 @@
 
 namespace nampc {
 
-namespace {
-/// Freelist cap: deliveries and sends roughly alternate, so the pool stays
-/// small in steady state; the cap only bounds pathological drain phases.
-constexpr std::size_t kPayloadPoolCap = 1u << 16;
-}  // namespace
-
 Simulation::Simulation(Config config, std::shared_ptr<Adversary> adversary)
     : config_(config),
       timing_(Timing::derive(config.params, config.delta)),
@@ -99,27 +93,6 @@ std::uint32_t Simulation::intern_instance(const std::string& key) {
   return id;
 }
 
-Words Simulation::pooled_copy(const Words& src, std::uint32_t owner) {
-  if (payload_pool_.empty()) {
-    registry_->on_pool(owner, /*hit=*/false);
-    return src;
-  }
-  Words w = std::move(payload_pool_.back());
-  payload_pool_.pop_back();
-  w.assign(src.begin(), src.end());
-  registry_->on_pool(owner, /*hit=*/true);
-  return w;
-}
-
-void Simulation::recycle_payload(Words&& payload) {
-  if (payload.capacity() == 0 || payload_pool_.size() >= kPayloadPoolCap) {
-    return;
-  }
-  payload.clear();
-  payload_pool_.push_back(std::move(payload));
-  registry_->on_recycle();
-}
-
 void Simulation::post_message(Message msg) {
   NAMPC_REQUIRE(msg.from >= 0 && msg.from < n() && msg.to >= 0 && msg.to < n(),
                 "message endpoints out of range");
@@ -155,7 +128,6 @@ void Simulation::dispatch_top() {
     registry_->on_dispatch(m->instance_id, m->to, /*delivery=*/true, m->type,
                            now_, m->payload.size());
     party(m->to).deliver(*m);
-    recycle_payload(std::move(m->payload));
   } else {
     Timer& timer = std::get<Timer>(ev);
     registry_->on_dispatch(timer.owner, timer.owner_party, /*delivery=*/false,
@@ -343,7 +315,7 @@ ProtocolInstance::~ProtocolInstance() {
   party_.unregister_instance(instance_id_);
 }
 
-void ProtocolInstance::send(PartyId to, int type, Words payload) {
+void ProtocolInstance::send(PartyId to, int type, Payload payload) {
   Message msg;
   msg.from = my_id();
   msg.to = to;
@@ -354,10 +326,18 @@ void ProtocolInstance::send(PartyId to, int type, Words payload) {
   sim().post_message(std::move(msg));
 }
 
-void ProtocolInstance::send_all(int type, const Words& payload) {
-  for (int to = 0; to < n(); ++to) {
-    send(to, type, sim().pooled_copy(payload, instance_id_));
-  }
+void ProtocolInstance::send_all(int type, Words payload) {
+  // Wrapping non-empty words is the fan-out's one allocation (a miss).
+  sim().metrics_registry().on_fan_out(
+      instance_id_, static_cast<std::uint64_t>(n()), !payload.empty());
+  const Payload body(std::move(payload));
+  for (int to = 0; to < n(); ++to) send(to, type, body);
+}
+
+void ProtocolInstance::send_all(int type, const Payload& payload) {
+  sim().metrics_registry().on_fan_out(
+      instance_id_, static_cast<std::uint64_t>(n()), /*allocates=*/false);
+  for (int to = 0; to < n(); ++to) send(to, type, payload);
 }
 
 void ProtocolInstance::span_kind(const char* kind) {

@@ -203,15 +203,6 @@ class Simulation {
     return static_cast<std::uint32_t>(instance_names_.size());
   }
 
-  /// Copies `src` into a payload buffer drawn from the freelist pool
-  /// (send_all fans one payload out to n recipients; reusing delivered
-  /// buffers avoids n fresh heap allocations per broadcast). `owner`
-  /// attributes the pool hit/miss to the instance doing the copy.
-  [[nodiscard]] Words pooled_copy(const Words& src,
-                                  std::uint32_t owner = kNoInstance);
-  /// Returns a delivered payload's buffer to the freelist.
-  void recycle_payload(Words&& payload);
-
   /// Sends a message through the attached transport (self-deliveries
   /// bypass the network here). Under the default DES transport the
   /// adversary's SendDecision is applied under the model-enforcement
@@ -302,8 +293,6 @@ class Simulation {
   // The deque keeps every interned string at a stable address.
   std::map<std::string, std::uint32_t> instance_ids_;
   std::deque<std::string> instance_names_;
-  // Freelist of delivered payload buffers, reused by pooled_copy.
-  std::vector<Words> payload_pool_;
 };
 
 /// One simulated party: routes messages to protocol instances by key and
@@ -395,8 +384,13 @@ class ProtocolInstance {
   [[nodiscard]] Rng& rng() { return party_.rng(); }
   [[nodiscard]] Metrics& metrics() { return party_.sim().metrics(); }
 
-  void send(PartyId to, int type, Words payload = {});
-  void send_all(int type, const Words& payload = {});
+  void send(PartyId to, int type, Payload payload = {});
+  /// Sends one body to all n parties (self included): fresh words are
+  /// wrapped once and every recipient's message shares that body.
+  void send_all(int type, Words payload = {});
+  /// Forwards a body this instance already holds (e.g. one it received)
+  /// to all n parties without copying its words.
+  void send_all(int type, const Payload& payload);
 
   /// Tags this instance's trace span with a primitive kind ("bc", "wss",
   /// ...). Call once from the constructor; also sets the log module used

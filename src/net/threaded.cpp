@@ -94,7 +94,9 @@ void ThreadedTransport::post(Simulation& sim, Message msg) {
   w.to = msg.to;
   w.type = msg.type;
   w.instance_key = *msg.instance_name;
-  w.payload = std::move(msg.payload);
+  // Copied out at the boundary: a body is shared only within the runtime
+  // that allocated it, so no reference count is touched across threads.
+  w.payload = msg.payload.words();
   w.seq = seq_[{msg.to, msg.instance_id}]++;
   w.send_tick = clock_.tick();
   (void)sim;
@@ -205,7 +207,7 @@ class PartyRuntime {
     m.type = w.type;
     m.instance_id = instance;
     m.instance_name = &sim_->instance_name(instance);
-    m.payload = std::move(w.payload);
+    m.payload = std::move(w.payload);  // a fresh body, local to this runtime
     // Arrival on the local virtual clock; the shared epoch keeps it
     // comparable with the sender's send_tick. now() never exceeds the wall
     // tick (events only run once due), so the max() is just belt.

@@ -1,8 +1,9 @@
 // Real-concurrency transport backend: one OS thread per party.
 //
 // Each party gets its own Simulation (so the existing single-threaded
-// protocol stack, routing, metrics and payload pooling run unchanged) with
-// a ThreadedTransport attached at the Transport seam (net/transport.h).
+// protocol stack, routing, metrics and shared payload bodies run
+// unchanged) with a ThreadedTransport attached at the Transport seam
+// (net/transport.h).
 // Cross-party messages travel over per-receiver mutex+condvar mailboxes as
 // WireMessages — carrying the instance key text, because interned ids are
 // runtime-local — and local virtual time advances with the wall clock:

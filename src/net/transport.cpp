@@ -38,6 +38,8 @@ void DesTransport::post(Simulation& sim, Message msg) {
 
   const PartyId orig_from = msg.from;
   const PartyId orig_to = msg.to;
+  const std::uint32_t orig_instance = msg.instance_id;
+  const std::string* orig_name = msg.instance_name;
   Message final_msg = decision.replacement.has_value()
                           ? std::move(*decision.replacement)
                           : std::move(msg);
@@ -45,6 +47,11 @@ void DesTransport::post(Simulation& sim, Message msg) {
   // another party or redirect the channel.
   NAMPC_REQUIRE(final_msg.from == orig_from && final_msg.to == orig_to,
                 "adversary cannot change message endpoints");
+  // A rewrite changes what is said, not which instance hears it: a forged
+  // id would route (and grow every party's tables) to an arbitrary slot.
+  NAMPC_REQUIRE(final_msg.instance_id == orig_instance &&
+                    final_msg.instance_name == orig_name,
+                "adversary cannot re-address a message to another instance");
 
   // Delay resolution order (adversary.h contract): explicit decision,
   // then the adversary's scheduler-sampling hook, then the model default.

@@ -25,9 +25,11 @@ class Simulation;
 /// Simulation-local (interning order depends on arrival order, which
 /// diverges across independently-running party runtimes), so the wire form
 /// carries the hierarchical key text; the receiving runtime re-interns it
-/// and rebuilds a routable Message. `seq` numbers the sender's messages per
-/// (to, instance) channel and `send_tick` stamps the sender's virtual clock
-/// at post time — together they key the record/replay schedule bridge.
+/// and rebuilds a routable Message. The payload travels as plain words, so
+/// a shared body (net/message.h) never crosses runtimes. `seq` numbers the
+/// sender's messages per (to, instance) channel and `send_tick` stamps the
+/// sender's virtual clock at post time — together they key the
+/// record/replay schedule bridge.
 struct WireMessage {
   PartyId from = -1;
   PartyId to = -1;

@@ -376,7 +376,6 @@ void write_metrics_jsonl(std::ostream& os, const Simulation& sim) {
     w.kv("words", totals.words_sent);
     w.kv("pool_hits", totals.payload_pool_hits);
     w.kv("pool_misses", totals.payload_pool_misses);
-    w.kv("payloads_recycled", totals.payloads_recycled);
     w.kv("peak_queue_depth", totals.peak_queue_depth);
     w.kv("samples", static_cast<std::uint64_t>(reg.samples().size()));
     w.kv("dropped_samples", reg.dropped_samples());

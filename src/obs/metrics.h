@@ -2,7 +2,7 @@
 //
 // A MetricsRegistry is owned by every Simulation and is the single
 // accounting path for run-level cost counters: every DES event, message,
-// payload word and payload-pool action is attributed to the interned
+// payload word and send_all fan-out is attributed to the interned
 // instance id that owns it (net/message.h), to the party that performed it,
 // and — via the span_kind tags — to its primitive kind. The
 // util/metrics.h `Metrics` struct is a thin compatibility view: the
@@ -56,8 +56,8 @@ struct InstanceCost {
   std::uint64_t timers = 0;    ///< subset of events: scheduled closures
   std::uint64_t messages = 0;  ///< point-to-point sends
   std::uint64_t words = 0;     ///< payload words across those sends
-  std::uint64_t pool_hits = 0;    ///< pooled_copy served from the freelist
-  std::uint64_t pool_misses = 0;  ///< pooled_copy that had to allocate
+  std::uint64_t pool_hits = 0;    ///< send_all messages sharing a body
+  std::uint64_t pool_misses = 0;  ///< send_all bodies allocated
 };
 
 /// Per-party totals (dimension: the party that executed/sent).
@@ -191,23 +191,23 @@ class MetricsRegistry {
     payload_hist_[bucket_of(words)]++;
   }
 
-  /// A pooled_copy was served (hit) or had to allocate (miss).
-  void on_pool(std::uint32_t instance, bool hit) {
+  /// A send_all fanned one payload body out to `recipients` messages.
+  /// Allocating that body (fresh non-empty words) is one miss; every other
+  /// message carries an existing body and is a hit — so a forwarded body
+  /// or an empty payload is all hits.
+  void on_fan_out(std::uint32_t instance, std::uint64_t recipients,
+                  bool allocates) {
+    const std::uint64_t misses = allocates ? 1 : 0;
+    const std::uint64_t hits = recipients - misses;
     InstanceCost& row = instance_row(instance);
     const std::size_t k = kind_index(instance);
-    if (hit) {
-      compat_->payload_pool_hits++;
-      row.pool_hits++;
-      kind_rows_[k].pool_hits++;
-    } else {
-      compat_->payload_pool_misses++;
-      row.pool_misses++;
-      kind_rows_[k].pool_misses++;
-    }
+    compat_->payload_pool_hits += hits;
+    compat_->payload_pool_misses += misses;
+    row.pool_hits += hits;
+    row.pool_misses += misses;
+    kind_rows_[k].pool_hits += hits;
+    kind_rows_[k].pool_misses += misses;
   }
-
-  /// A delivered payload buffer returned to the freelist.
-  void on_recycle() { compat_->payloads_recycled++; }
 
   /// The DES queue grew to `depth` in-flight events.
   void on_queue_depth(std::uint64_t depth) {

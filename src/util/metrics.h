@@ -22,10 +22,11 @@ struct Metrics {
   std::uint64_t beaver_mults = 0;
   std::uint64_t rs_decodes = 0;
 
-  // Allocation-behaviour counters for the scaling engine (BENCH_scaling):
-  std::uint64_t payload_pool_hits = 0;   ///< send_all copies served from pool
-  std::uint64_t payload_pool_misses = 0; ///< copies that had to allocate
-  std::uint64_t payloads_recycled = 0;   ///< delivered buffers returned
+  // Allocation-behaviour counters for the scaling engine (BENCH_scaling).
+  // A send_all allocates at most one shared payload body (a miss); each
+  // other message of the fan-out carries an existing body (a hit).
+  std::uint64_t payload_pool_hits = 0;   ///< send_all messages sharing a body
+  std::uint64_t payload_pool_misses = 0; ///< send_all bodies allocated
   std::uint64_t peak_queue_depth = 0;    ///< max in-flight DES events
 
   /// Privacy audit: per (dealer id), the maximum number of honest univariate

@@ -3,6 +3,7 @@
 // Ideal modes.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <set>
@@ -96,23 +97,200 @@ INSTANTIATE_TEST_SUITE_P(Networks, AcastNetworkTest,
                          ::testing::Values(NetworkKind::synchronous,
                                            NetworkKind::asynchronous));
 
-// ----------------------------------------------------------------- SBA --
-
-constexpr int kSbaExchange = 1;  // Sba's wire types
-constexpr int kSbaKing = 2;
-
 /// Records the (type, payload) of every message delivered to its key.
-class SbaProbe : public ProtocolInstance {
+class RecvProbe : public ProtocolInstance {
  public:
-  SbaProbe(Party& party, std::string key)
+  RecvProbe(Party& party, std::string key)
       : ProtocolInstance(party, std::move(key)) {}
 
   void on_message(const Message& msg) override {
-    seen.emplace_back(msg.type, msg.payload);
+    seen.emplace_back(msg.type, msg.payload.words());
   }
 
   std::vector<std::pair<int, Words>> seen;
 };
+
+constexpr int kAcastInit = 1;  // Acast's wire types
+constexpr int kAcastEcho = 2;
+constexpr int kAcastReady = 3;
+
+struct CraftedAcast {
+  Time at;
+  PartyId from;
+  int type;
+  Payload payload;
+};
+
+/// One party of Bracha's Acast with whole-value maps (one PartySet per
+/// distinct value, keyed by the words): the reference for Acast's votes.
+/// Deliveries run in the DES's order — per tick, first-scheduled first,
+/// with each copy to self queued behind what the tick already holds.
+/// `sent` records each send_all in order.
+struct MapAcast {
+  struct Pending {
+    PartyId from;
+    int type;
+    Words payload;
+  };
+
+  MapAcast(const ProtocolParams& params, PartyId self, PartyId from)
+      : n(params.n), ts(params.ts), me(self), sender(from) {}
+
+  int n;
+  int ts;
+  PartyId me;
+  PartyId sender;
+  bool echoed = false;
+  bool readied = false;
+  std::optional<Words> output;
+  Time output_time = -1;
+  std::map<Words, PartySet> echoes;
+  std::map<Words, PartySet> readies;
+  std::vector<std::pair<int, Words>> sent;
+  std::map<Time, std::deque<Pending>> queue;
+  Time now = 0;
+
+  void send_all(int type, const Words& m) {
+    sent.emplace_back(type, m);
+    queue[now].push_back({me, type, m});
+  }
+
+  void ready(const Words& m) {
+    if (readied) return;
+    readied = true;
+    send_all(kAcastReady, m);
+  }
+
+  void on_message(PartyId from, int type, const Words& m) {
+    if (type == kAcastInit) {
+      if (from != sender || echoed) return;
+      echoed = true;
+      send_all(kAcastEcho, m);
+    } else if (type == kAcastEcho) {
+      PartySet& who = echoes[m];
+      who.insert(from);
+      if (who.size() >= n - ts) ready(m);
+    } else if (type == kAcastReady) {
+      PartySet& who = readies[m];
+      who.insert(from);
+      if (who.size() >= ts + 1) ready(m);
+      if (who.size() >= n - ts && !output.has_value()) {
+        output = m;
+        output_time = now;
+      }
+    }
+  }
+
+  void run() {
+    while (!queue.empty()) {
+      const auto slot = queue.begin();
+      now = slot->first;
+      const Pending d = std::move(slot->second.front());
+      slot->second.pop_front();
+      on_message(d.from, d.type, d.payload);
+      if (slot->second.empty()) queue.erase(slot);
+    }
+  }
+};
+
+/// Seeded INIT/ECHO/READY traffic to party 0 from parties 1..n-1: votes
+/// that lean to one value (so the quorums are met on most seeds), repeats
+/// from one sender, a party that echoes and readies two values, INITs from
+/// non-senders, empty bodies and unknown types. Each delivery either shares
+/// its value's one body or carries equal words in a body of its own.
+std::vector<CraftedAcast> craft_acast_traffic(Rng& rng, int n, PartyId sender) {
+  const std::vector<Words> values = {{}, {5}, {5, 6}, {6, 5}, {5, 6, 7}};
+  const std::vector<Payload> shared(values.begin(), values.end());
+  const auto pick = [&] { return rng.next_below(values.size()); };
+  const auto body = [&](std::size_t v) {
+    return rng.next_bool() ? shared[v] : Payload(values[v]);
+  };
+  const auto tick = [&] { return static_cast<Time>(rng.next_below(30)); };
+  const auto party = [&] {
+    return static_cast<PartyId>(1 + rng.next_below(static_cast<Word>(n - 1)));
+  };
+  const std::size_t favourite = pick();
+  const bool lean = rng.next_below(4) != 0;
+  const auto vote = [&] {
+    return lean && rng.next_below(5) != 0 ? favourite : pick();
+  };
+  std::vector<CraftedAcast> log;
+  for (PartyId from = 1; from < n; ++from) {
+    if (from == sender || rng.next_below(4) == 0) {
+      const Word inits = 1 + rng.next_below(2);
+      for (Word c = 0; c < inits; ++c) {
+        log.push_back({tick(), from, kAcastInit, body(vote())});
+      }
+    }
+    for (const int type : {kAcastEcho, kAcastReady}) {
+      const Word copies = rng.next_below(4);
+      for (Word c = 0; c < copies; ++c) {
+        log.push_back({tick(), from, type, body(vote())});
+      }
+    }
+  }
+  const PartyId two_faced = party();
+  for (const int type : {kAcastEcho, kAcastReady}) {
+    log.push_back({tick(), two_faced, type, body(favourite)});
+    log.push_back({tick(), two_faced, type, body((favourite + 1) % 5)});
+  }
+  for (const int type : {0, 4, 9}) {
+    log.push_back({tick(), party(), type, body(pick())});
+  }
+  for (std::size_t i = log.size(); i > 1; --i) {
+    std::swap(log[i - 1], log[rng.next_below(i)]);
+  }
+  return log;
+}
+
+// Acast's body-keyed votes against the map-based reference, message for
+// message: party 0 runs Acast, everything it hears from parties 1..6 is
+// crafted, and party 1 holds a probe that records what party 0 sends.
+TEST(Acast, VotesMatchReferenceMapOnCraftedTraffic) {
+  const ProtocolParams params = testing::p7_2_1();
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE(seed);
+    auto sim = make_sim({.params = params, .seed = seed});
+    Rng rng(seed);
+    const auto sender = static_cast<PartyId>(
+        rng.next_below(3) == 0 ? 0 : 1 + rng.next_below(6));
+    const std::vector<CraftedAcast> log =
+        craft_acast_traffic(rng, params.n, sender);
+
+    Acast& acast = sim->party(0).spawn<Acast>("acast", sender, nullptr);
+    RecvProbe& probe = sim->party(1).spawn<RecvProbe>("acast");
+    MapAcast ref(params, 0, sender);
+    if (sender == 0) {
+      acast.start({5, 6});
+      ref.send_all(kAcastInit, {5, 6});
+    }
+    for (const CraftedAcast& d : log) {
+      Message msg;
+      msg.from = d.from;
+      msg.to = 0;
+      msg.type = d.type;
+      msg.instance_id = acast.instance_id();
+      msg.instance_name = &acast.key();
+      msg.payload = d.payload;
+      sim->schedule_delivery(d.at, std::move(msg));
+      ref.queue[d.at].push_back({d.from, d.type, d.payload.words()});
+    }
+    EXPECT_EQ(sim->run(), RunStatus::quiescent);
+    ref.run();
+
+    ASSERT_EQ(acast.has_output(), ref.output.has_value());
+    if (ref.output.has_value()) {
+      EXPECT_EQ(acast.output(), *ref.output);
+      EXPECT_EQ(acast.output_time(), ref.output_time);
+    }
+    EXPECT_EQ(probe.seen, ref.sent);
+  }
+}
+
+// ----------------------------------------------------------------- SBA --
+
+constexpr int kSbaExchange = 1;  // Sba's wire types
+constexpr int kSbaKing = 2;
 
 Words sba_encode(const SbaValue& v) {
   Writer w;
@@ -347,7 +525,7 @@ TEST(Sba, TallyMatchesReferenceOnCraftedTraffic) {
     const SbaValue input = rng.next_bool() ? SbaValue(Words{5, 6}) : std::nullopt;
 
     Sba& sba = sim->party(0).spawn<Sba>("sba", nullptr);
-    SbaProbe& probe = sim->party(1).spawn<SbaProbe>("sba");
+    RecvProbe& probe = sim->party(1).spawn<RecvProbe>("sba");
     sba.start(input);
     for (const CraftedDelivery& d : log) {
       Message msg;

@@ -28,10 +28,9 @@ std::shared_ptr<ScriptedAdversary> garbage_adversary(PartySet corrupt) {
         SendDecision d;
         Message alt = m;
         const std::uint64_t len = rng.next_below(6);
-        alt.payload.clear();
-        for (std::uint64_t i = 0; i < len; ++i) {
-          alt.payload.push_back(rng.next_u64());
-        }
+        Words& junk = alt.payload.mut();
+        junk.clear();
+        for (std::uint64_t i = 0; i < len; ++i) junk.push_back(rng.next_u64());
         if (rng.next_bool()) alt.type = static_cast<int>(rng.next_below(9));
         d.replacement = std::move(alt);
         return d;

@@ -1,4 +1,4 @@
-// Scaling-engine invariants: the payload pool recycles without aliasing,
+// Scaling-engine invariants: shared payload bodies never alias a rewrite,
 // instance-id interning is stable, the batched RS encode and dealer row
 // caches are bit-identical to the per-point paths they replace, the
 // incremental Star repair preserves matching maximality on random NOK
@@ -22,33 +22,33 @@ Simulation::Config small_config() {
   return cfg;
 }
 
-TEST(PayloadPool, RecycleThenReuse) {
-  Simulation sim(small_config(), std::make_shared<Adversary>());
-  const Words src{1, 2, 3, 4};
+TEST(Payload, SharesOneBodyAndRewritesDoNotAlias) {
+  const Payload a = Words{1, 2, 3, 4};
+  Payload b = a;
+  EXPECT_EQ(b.data(), a.data());  // a copy shares the body
 
-  // Empty pool: the copy allocates (a miss).
-  Words a = sim.pooled_copy(src);
-  EXPECT_EQ(a, src);
-  EXPECT_EQ(sim.metrics().payload_pool_misses, 1u);
-  EXPECT_EQ(sim.metrics().payload_pool_hits, 0u);
+  // mut() on a shared body clones it first: the other copy is untouched.
+  b.mut()[0] = 42;
+  EXPECT_NE(b.data(), a.data());
+  EXPECT_EQ(a.words(), (Words{1, 2, 3, 4}));
+  EXPECT_EQ(b.words(), (Words{42, 2, 3, 4}));
+  // A body with one owner is written in place.
+  const Word* own = b.data();
+  b.mut()[1] = 7;
+  EXPECT_EQ(b.data(), own);
+  EXPECT_EQ(b.words(), (Words{42, 7, 3, 4}));
 
-  // A delivered buffer goes back; the next copy is served from the pool.
-  sim.recycle_payload(std::move(a));
-  EXPECT_EQ(sim.metrics().payloads_recycled, 1u);
-  const Words other{9, 8};
-  Words b = sim.pooled_copy(other);
-  EXPECT_EQ(b, other);
-  EXPECT_EQ(sim.metrics().payload_pool_hits, 1u);
+  // An empty payload holds no body.
+  EXPECT_EQ(Payload().data(), nullptr);
+  EXPECT_EQ(Payload(Words{}).data(), nullptr);
+  EXPECT_TRUE(Payload().empty());
 
-  // The pooled buffer is a copy, not an alias.
-  b[0] = 42;
-  EXPECT_EQ(other[0], 9u);
-}
-
-TEST(PayloadPool, ZeroCapacityBuffersAreNotPooled) {
-  Simulation sim(small_config(), std::make_shared<Adversary>());
-  sim.recycle_payload(Words{});
-  EXPECT_EQ(sim.metrics().payloads_recycled, 0u);
+  // A Reader over a Payload reads the body in place.
+  const Payload framed = Words{2, 7, 8};
+  Reader r(framed);
+  const std::span<const Word> view = r.view();
+  EXPECT_EQ(view.data(), framed.data() + 1);
+  EXPECT_TRUE(r.done());
 }
 
 TEST(InstanceInterning, StableDenseIds) {
@@ -263,7 +263,7 @@ TEST(ScalingSweep, SerialEqualsParallelAtN32) {
 }
 
 TEST(ScalingWss, PoolAndGridActiveOnFullRun) {
-  // A full n=16 WSS run exercises the send_all pooled fan-out, the row
+  // A full n=16 WSS run exercises the send_all shared-body fan-out, the row
   // grid and the dealer caches; the allocation counters must move and the
   // outcome must be unanimous rows.
   Simulation::Config cfg;
@@ -279,8 +279,11 @@ TEST(ScalingWss, PoolAndGridActiveOnFullRun) {
   inst[0]->start({Polynomial::random_with_constant(Fp(21), 5, rng)});
   (void)sim.run();
   for (Wss* w : inst) EXPECT_EQ(w->outcome(), WssOutcome::rows);
-  EXPECT_GT(sim.metrics().payloads_recycled, 0u);
-  EXPECT_GT(sim.metrics().payload_pool_hits, 0u);
+  // At most one body allocation per send_all fan-out of n messages.
+  const Metrics& m = sim.metrics();
+  EXPECT_GT(m.payload_pool_hits, 0u);
+  EXPECT_LE(16 * m.payload_pool_misses,
+            m.payload_pool_hits + m.payload_pool_misses);
   EXPECT_GT(sim.metrics().peak_queue_depth, 0u);
   // Pairwise consistency across the cached-evaluation paths.
   for (int i = 0; i < 16; ++i) {

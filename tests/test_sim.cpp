@@ -192,6 +192,116 @@ TEST(Sim, AdversaryCannotSpoofEndpoints) {
   EXPECT_THROW(a.ping(2, 1), InvariantError);
 }
 
+TEST(Sim, AdversaryCannotReaddressInstance) {
+  // A rewrite may change type and payload only: re-addressing a corrupt
+  // party's message to another instance id or key is rejected.
+  for (const bool rename : {false, true}) {
+    SCOPED_TRACE(rename);
+    auto adv = std::make_shared<ScriptedAdversary>(PartySet::of({1}));
+    const std::string other = "other";
+    adv->add_rule(
+        [](const Message& m, Time) { return m.from == 1; },
+        [rename, &other](const Message& m, Time, Rng&) {
+          SendDecision d;
+          Message alt = m;
+          if (rename) {
+            alt.instance_name = &other;
+          } else {
+            alt.instance_id = 5'000'000;
+          }
+          d.replacement = std::move(alt);
+          return d;
+        });
+    auto sim = make_sim({.params = testing::p4_1_0()}, adv);
+    auto& a = sim->party(1).spawn<Probe>("x");
+    sim->party(2).spawn<Probe>("x");
+    EXPECT_THROW(a.ping(2, 1), InvariantError);
+  }
+}
+
+/// Records the body of every delivery and can fan words out or forward the
+/// last body it received.
+class BodyProbe : public ProtocolInstance {
+ public:
+  BodyProbe(Party& party, std::string key)
+      : ProtocolInstance(party, std::move(key)) {}
+
+  void on_message(const Message& msg) override {
+    bodies.push_back(msg.payload.data());
+    last = msg.payload;
+  }
+
+  void fan_out(Words words) { send_all(1, std::move(words)); }
+  void forward() { send_all(2, last); }
+
+  std::vector<const Word*> bodies;
+  Payload last;
+};
+
+TEST(Sim, SendAllSharesOneBody) {
+  auto sim = make_sim({.params = testing::p4_1_0()});
+  const auto n = static_cast<std::uint64_t>(sim->n());
+  std::vector<BodyProbe*> probes;
+  for (int i = 0; i < sim->n(); ++i) {
+    probes.push_back(&sim->party(i).spawn<BodyProbe>("body"));
+  }
+  const Metrics& m = sim->metrics();
+
+  // Fresh words: one body allocated (a miss), n - 1 messages share it.
+  probes[0]->fan_out({1, 2, 3});
+  EXPECT_EQ(m.payload_pool_misses, 1u);
+  EXPECT_EQ(m.payload_pool_hits, n - 1);
+  EXPECT_EQ(sim->run(), RunStatus::quiescent);
+  const Word* body = probes[0]->bodies.at(0);
+  for (const BodyProbe* p : probes) {
+    ASSERT_EQ(p->bodies.size(), 1u);
+    EXPECT_EQ(p->bodies[0], body);
+    EXPECT_EQ(p->last.words(), (Words{1, 2, 3}));
+  }
+
+  // Forwarding a received body allocates nothing: n hits, no miss.
+  probes[2]->forward();
+  EXPECT_EQ(m.payload_pool_misses, 1u);
+  EXPECT_EQ(m.payload_pool_hits, 2 * n - 1);
+  EXPECT_EQ(sim->run(), RunStatus::quiescent);
+  for (const BodyProbe* p : probes) {
+    ASSERT_EQ(p->bodies.size(), 2u);
+    EXPECT_EQ(p->bodies[1], body);
+  }
+}
+
+TEST(Sim, CorruptRewriteReachesOnlyItsRecipient) {
+  // The corrupt party 3 fans one body out; the adversary rewrites only its
+  // copy to party 1, in place through mut(). The clone must not leak into
+  // the shared body the other recipients (and 3's self-delivery) read.
+  auto adv = std::make_shared<ScriptedAdversary>(PartySet::of({3}));
+  adv->add_rule(
+      [](const Message& m, Time) { return m.from == 3 && m.to == 1; },
+      [](const Message& m, Time, Rng&) {
+        SendDecision d;
+        Message alt = m;
+        alt.payload.mut()[0] = 99;
+        d.replacement = std::move(alt);
+        return d;
+      });
+  auto sim = make_sim({.params = testing::p4_1_0()}, adv);
+  std::vector<BodyProbe*> probes;
+  for (int i = 0; i < sim->n(); ++i) {
+    probes.push_back(&sim->party(i).spawn<BodyProbe>("body"));
+  }
+  probes[3]->fan_out({1, 2, 3});
+  EXPECT_EQ(sim->run(), RunStatus::quiescent);
+  for (const BodyProbe* p : probes) ASSERT_EQ(p->bodies.size(), 1u);
+  EXPECT_EQ(probes[1]->last.words(), (Words{99, 2, 3}));
+  for (const int i : {0, 2, 3}) {
+    EXPECT_EQ(probes[static_cast<std::size_t>(i)]->last.words(),
+              (Words{1, 2, 3}));
+    EXPECT_EQ(probes[static_cast<std::size_t>(i)]->bodies[0],
+              probes[3]->bodies[0]);
+  }
+  EXPECT_NE(probes[1]->bodies[0], probes[3]->bodies[0]);
+}
+
 TEST(Sim, CorruptSenderMayExceedDeltaInSync) {
   // The synchronous bound applies to honest senders only; a corrupt party
   // may deliver arbitrarily late (it could equally not send at all).

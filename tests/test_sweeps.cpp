@@ -147,7 +147,7 @@ VssCommitRun run_vss_corrupt_dealer(std::uint64_t seed) {
       [](const Message& m, Time, Rng&) {
         SendDecision d;
         Message alt = m;
-        for (Word& w : alt.payload) w = (Fp(w) + Fp(11)).value();
+        for (Word& w : alt.payload.mut()) w = (Fp(w) + Fp(11)).value();
         d.replacement = std::move(alt);
         return d;
       });

@@ -150,7 +150,7 @@ TEST_P(VssModeTest, CheatedPartyRecoversItsRow) {
       [](const Message& m, Time, Rng&) {
         SendDecision d;
         Message alt = m;
-        for (Word& w : alt.payload) w = (Fp(w) + Fp(7)).value();
+        for (Word& w : alt.payload.mut()) w = (Fp(w) + Fp(7)).value();
         d.replacement = std::move(alt);
         return d;
       });
@@ -215,7 +215,7 @@ TEST(Vss, UpgradesTheWssBotCaseToRecovery) {
       [](const Message& m, Time, Rng&) {
         SendDecision d;
         Message alt = m;
-        for (Word& w : alt.payload) w = (Fp(w) + Fp(5)).value();
+        for (Word& w : alt.payload.mut()) w = (Fp(w) + Fp(5)).value();
         d.replacement = std::move(alt);
         return d;
       });

@@ -186,7 +186,7 @@ TEST_P(WssModeTest, InconsistentDealerWeakCommitment) {
       [](const Message& m, Time, Rng&) {
         SendDecision d;
         Message alt = m;
-        for (Word& w : alt.payload) w = (Fp(w) + Fp(3)).value();
+        for (Word& w : alt.payload.mut()) w = (Fp(w) + Fp(3)).value();
         d.replacement = std::move(alt);
         return d;
       });
@@ -287,7 +287,7 @@ TEST(WssBotOutcome, CheatedOutsiderDetectsSynchronyAndOutputsBot) {
       [](const Message& m, Time, Rng&) {
         SendDecision d;
         Message alt = m;
-        for (Word& w : alt.payload) w = (Fp(w) + Fp(5)).value();
+        for (Word& w : alt.payload.mut()) w = (Fp(w) + Fp(5)).value();
         d.replacement = std::move(alt);
         return d;
       });
@@ -305,7 +305,8 @@ TEST(WssBotOutcome, CheatedOutsiderDetectsSynchronyAndOutputsBot) {
         [](const Message& m, Time, Rng&) {
           SendDecision d;
           Message alt = m;
-          alt.payload.back() = (Fp(alt.payload.back()) + Fp(3)).value();
+          Word& last = alt.payload.mut().back();
+          last = (Fp(last) + Fp(3)).value();
           d.replacement = std::move(alt);
           return d;
         });

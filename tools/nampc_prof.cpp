@@ -155,14 +155,13 @@ void print_header(const Dump& d) {
 void print_totals(const Dump& d) {
   std::printf(
       "totals: events=%llu (timers=%llu) messages=%llu words=%llu\n"
-      "        pool hits=%llu misses=%llu recycled=%llu peak_queue=%llu\n",
+      "        pool hits=%llu misses=%llu peak_queue=%llu\n",
       (unsigned long long)gu(d.total, "events"),
       (unsigned long long)gu(d.total, "timers"),
       (unsigned long long)gu(d.total, "messages"),
       (unsigned long long)gu(d.total, "words"),
       (unsigned long long)gu(d.total, "pool_hits"),
       (unsigned long long)gu(d.total, "pool_misses"),
-      (unsigned long long)gu(d.total, "payloads_recycled"),
       (unsigned long long)gu(d.total, "peak_queue_depth"));
 }
 
