@@ -25,186 +25,21 @@
 //    the metrics-smoke CI job to hold the committed PROF_*.jsonl dumps to
 //    the schema.
 //
-// The parser below handles exactly the JSON subset JsonWriter emits
-// (objects, arrays, strings, numbers, booleans, null; \uXXXX escapes kept
-// verbatim) and is self-contained so the tool has no library dependencies.
-#include <cctype>
+// JSON comes from util/json_read.h (header-only), so the tool links no
+// library.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "util/json_read.h"
+
 namespace {
 
-struct JsonValue {
-  enum class Kind { object, array, string, literal } kind = Kind::literal;
-  std::string text;  // string contents or literal token
-  std::vector<std::pair<std::string, JsonValue>> members;  // object, in order
-  std::vector<JsonValue> items;                            // array
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(std::string text) : text_(std::move(text)) {}
-
-  bool parse(JsonValue& out, std::string& error) {
-    pos_ = 0;
-    if (!value(out)) {
-      error = error_ + " at offset " + std::to_string(pos_);
-      return false;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error = "trailing data at offset " + std::to_string(pos_);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool fail(const std::string& why) {
-    error_ = why;
-    return false;
-  }
-
-  bool value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
-    if (c == '"') {
-      out.kind = JsonValue::Kind::string;
-      return string(out.text);
-    }
-    // Number / true / false / null: consume the bare token.
-    out.kind = JsonValue::Kind::literal;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail("unexpected character");
-    out.text = text_.substr(start, pos_ - start);
-    return true;
-  }
-
-  bool object(JsonValue& out) {
-    out.kind = JsonValue::Kind::object;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!string(key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return fail("expected ':'");
-      ++pos_;
-      JsonValue v;
-      if (!value(v)) return false;
-      out.members.emplace_back(std::move(key), std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array(JsonValue& out) {
-    out.kind = JsonValue::Kind::array;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue v;
-      if (!value(v)) return false;
-      out.items.push_back(std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  bool string(std::string& out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return fail("expected string");
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return fail("bad escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u':
-            // Shape comparison does not need codepoint decoding: keep the
-            // escape verbatim so equal inputs stay equal.
-            out += "\\u";
-            for (int i = 0; i < 4 && pos_ < text_.size(); ++i) {
-              out += text_[pos_++];
-            }
-            break;
-          default: return fail("bad escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
+using nampc::JsonValue;
 
 /// The shape of one report: everything bench-smoke locks down.
 struct Shape {
@@ -221,7 +56,7 @@ struct Shape {
 };
 
 bool extract(const JsonValue& root, Shape& shape, std::string& error) {
-  if (root.kind != JsonValue::Kind::object) {
+  if (!root.is_object()) {
     error = "top-level value is not an object";
     return false;
   }
@@ -246,7 +81,7 @@ bool extract(const JsonValue& root, Shape& shape, std::string& error) {
     }
   }
   const JsonValue* sections = root.find("sections");
-  if (!sections || sections->kind != JsonValue::Kind::array) {
+  if (!sections || !sections->is_array()) {
     error = "missing sections array";
     return false;
   }
@@ -282,8 +117,7 @@ bool load_shape(const std::string& path, Shape& shape) {
   buf << in.rdbuf();
   JsonValue root;
   std::string error;
-  Parser parser(buf.str());
-  if (!parser.parse(root, error)) {
+  if (!nampc::json_parse(buf.str(), root, error)) {
     std::cerr << "bench_shape_diff: " << path << ": parse error: " << error
               << "\n";
     return false;
@@ -321,8 +155,6 @@ int validate_metrics(const std::string& path, const std::string& text) {
       {"instance", {"id", "key", "kind", "events", "messages", "words"}},
       {"kind", {"kind", "tagged_copies", "events", "messages", "words"}},
       {"hist", {"name", "buckets"}},
-      {"counter", {"name", "value"}},
-      {"gauge", {"name", "value"}},
       {"total", {"events", "timers", "messages", "words", "pool_hits",
                  "pool_misses", "samples"}},
   };
@@ -335,12 +167,11 @@ int validate_metrics(const std::string& path, const std::string& text) {
     if (line.empty()) continue;
     JsonValue row;
     std::string error;
-    Parser parser(line);
-    if (!parser.parse(row, error)) {
+    if (!nampc::json_parse(line, row, error)) {
       problem(lineno, "parse error: " + error);
       continue;
     }
-    if (row.kind != JsonValue::Kind::object) {
+    if (!row.is_object()) {
       problem(lineno, "line is not a JSON object");
       continue;
     }
@@ -410,8 +241,8 @@ int validate_schema(const std::string& path) {
     std::string first = text.substr(0, text.find('\n'));
     JsonValue head;
     std::string error;
-    Parser parser(std::move(first));
-    if (parser.parse(head, error) && head.kind == JsonValue::Kind::object) {
+    if (nampc::json_parse(std::move(first), head, error) &&
+        head.is_object()) {
       const JsonValue* schema = head.find("schema");
       if (schema && schema->text == "nampc-metrics/1") {
         return validate_metrics(path, text);

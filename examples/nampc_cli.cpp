@@ -58,8 +58,6 @@
 // Prints per-party outcomes, timing vs the paper's T_* bound, and the
 // run's message/event metrics. Exit code 0 iff all protocol guarantees
 // held in the run.
-#include <charconv>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -74,6 +72,7 @@
 #include "obs/monitor.h"
 #include "obs/report.h"
 #include "obs/tracer.h"
+#include "util/parse.h"
 
 using namespace nampc;
 
@@ -124,13 +123,8 @@ bool parse(int argc, char** argv, Options& o) {
       out = argv[++i];
       return true;
     };
-    // The whole token must be a base-10 integer that fits out's type.
     auto number = [&](auto& out) {
-      if (i + 1 >= argc) return false;
-      const char* value = argv[++i];
-      const char* end = value + std::strlen(value);
-      const auto [ptr, ec] = std::from_chars(value, end, out);
-      return ec == std::errc{} && ptr == end;
+      return i + 1 < argc && parse_number(argv[++i], out);
     };
     bool ok = true;
     if (a == "--n") ok = number(o.params.n);

@@ -58,7 +58,6 @@ class Aba : public ProtocolInstance {
     NAMPC_REQUIRE(decided_.has_value(), "aba has no output yet");
     return *decided_;
   }
-  [[nodiscard]] int rounds_used() const { return round_; }
 
   void on_message(const Message& msg) override;
 

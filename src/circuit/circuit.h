@@ -50,12 +50,6 @@ class Circuit {
   [[nodiscard]] int output_owner(int k) const {
     return output_owners_[static_cast<std::size_t>(k)];
   }
-  [[nodiscard]] bool has_private_outputs() const {
-    for (int o : output_owners_) {
-      if (o >= 0) return true;
-    }
-    return false;
-  }
   [[nodiscard]] int num_multiplications() const { return num_mult_; }
   [[nodiscard]] int num_inputs_of(int party) const {
     const auto it = inputs_per_party_.find(party);

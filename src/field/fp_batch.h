@@ -80,14 +80,9 @@ inline Fp fp_eval_with_powers(const Fp* coeffs, const Fp* powers,
   return fp_dot(coeffs, powers, n);
 }
 
-/// acc[i] += c * x[i] for i in [0, n). The single product per element keeps
+/// acc[i] -= c * x[i] for i in [0, n). The single product per element keeps
 /// this a plain fused loop (deferred reduction needs >= 2 products/lane);
 /// it exists so row updates in the eliminators batch through one call.
-inline void fp_add_scaled(Fp* acc, Fp c, const Fp* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += c * x[i];
-}
-
-/// acc[i] -= c * x[i] for i in [0, n).
 inline void fp_sub_scaled(Fp* acc, Fp c, const Fp* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] -= c * x[i];
 }

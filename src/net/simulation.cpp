@@ -236,12 +236,12 @@ void Simulation::audit_privacy() const {
   // The proofs bound the adversary's view by at most ts honest univariate
   // polynomials per sharing instance (§6/§7 privacy arguments). Failing
   // loudly here turns a silent privacy regression into a red test.
-  for (const auto& [dealer, worst] : metrics_.honest_polys_revealed) {
-    NAMPC_ASSERT(worst <= static_cast<std::uint64_t>(config_.params.ts),
-                 "privacy audit: dealer P" + std::to_string(dealer) +
-                     " had " + std::to_string(worst) +
-                     " honest polynomials revealed in one sharing instance "
-                     "(bound ts=" +
+  for (const auto& [key, reveal] : metrics_.honest_reveals) {
+    NAMPC_ASSERT(!reveal.exceeds(config_.params.ts),
+                 "privacy audit: dealer P" + std::to_string(reveal.dealer) +
+                     " had " + std::to_string(reveal.count) +
+                     " honest polynomials revealed in sharing instance " +
+                     key + " (bound ts=" +
                      std::to_string(config_.params.ts) + ")");
   }
 }

@@ -100,9 +100,9 @@ class Simulation {
     /// The lower-bound experiment (§5) deliberately runs with parameters
     /// that violate Theorem 1.1; it sets this to skip feasibility checks.
     bool allow_infeasible = false;
-    /// Privacy audit at quiescence: assert that no dealer had more than ts
-    /// honest row polynomials revealed in any single sharing instance
-    /// (Metrics::honest_polys_revealed). Skipped under allow_infeasible.
+    /// Privacy audit at quiescence: assert that no sharing instance had
+    /// more than ts honest row polynomials revealed
+    /// (Metrics::honest_reveals). Skipped under allow_infeasible.
     bool privacy_audit = true;
   };
 

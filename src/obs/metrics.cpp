@@ -4,7 +4,6 @@
 #include <array>
 
 #include "net/simulation.h"
-#include "util/assert.h"
 #include "util/json.h"
 
 namespace nampc::obs {
@@ -77,24 +76,6 @@ std::size_t MetricsRegistry::kind_id(std::string_view kind) {
   kind_rows_.emplace_back();
   kind_tags_.push_back(0);
   kind_ids_.emplace(std::string(kind), id);
-  return id;
-}
-
-MetricsRegistry::MetricId MetricsRegistry::instrument(std::string_view name,
-                                                      InstrumentType type) {
-  const auto it = instrument_ids_.find(name);
-  if (it != instrument_ids_.end()) {
-    NAMPC_REQUIRE(instruments_[it->second].type == type,
-                  "metrics instrument re-registered with a different type: " +
-                      std::string(name));
-    return it->second;
-  }
-  const auto id = static_cast<MetricId>(instruments_.size());
-  Instrument ins;
-  ins.name = std::string(name);
-  ins.type = type;
-  instruments_.push_back(std::move(ins));
-  instrument_ids_.emplace(std::string(name), id);
   return id;
 }
 
@@ -329,39 +310,6 @@ void write_metrics_jsonl(std::ostream& os, const Simulation& sim) {
     w.kv("name", "queue_depth");
     w.key("buckets");
     write_buckets(w, reg.queue_depth_hist());
-    w.end_object();
-    os << '\n';
-  }
-
-  for (const MetricsRegistry::Instrument& ins : reg.instruments()) {
-    JsonWriter w(os);
-    w.begin_object();
-    switch (ins.type) {
-      case MetricsRegistry::InstrumentType::counter:
-        w.kv("row", "counter");
-        break;
-      case MetricsRegistry::InstrumentType::gauge:
-        w.kv("row", "gauge");
-        break;
-      case MetricsRegistry::InstrumentType::histogram:
-        w.kv("row", "hist");
-        break;
-    }
-    w.kv("name", ins.name);
-    if (ins.type == MetricsRegistry::InstrumentType::histogram) {
-      w.kv("observations", ins.value);
-      w.key("buckets");
-      write_buckets(w, ins.buckets);
-    } else {
-      w.kv("value", ins.value);
-    }
-    if (!ins.per_instance.empty()) {
-      w.key("instances").begin_object();
-      for (const auto& [instance, v] : ins.per_instance) {
-        w.kv(std::to_string(instance), v);
-      }
-      w.end_object();
-    }
     w.end_object();
     os << '\n';
   }

@@ -123,9 +123,6 @@ struct QueueStats {
 /// indexing by interned instance id — no hashing, no string keys).
 class MetricsRegistry {
  public:
-  using MetricId = std::uint32_t;
-  enum class InstrumentType { counter, gauge, histogram };
-
   /// Power-of-two histogram buckets: bucket i counts values v with
   /// bit_width(v) == i, i.e. bucket 0 is v == 0 and bucket i covers
   /// [2^(i-1), 2^i). 65 buckets always (uint64 range).
@@ -239,40 +236,6 @@ class MetricsRegistry {
   /// boundary past `now`, so the series always ends at the run totals.
   void finish(Time now);
 
-  // --------------------------------------------- named generic instruments
-  // For protocol-specific accounting beyond the built-in dimensions.
-  // Counters may carry the instance dimension; gauges and histograms are
-  // global (sparse per-instance cells live in a sorted map — cold path).
-
-  MetricId counter(std::string_view name) {
-    return instrument(name, InstrumentType::counter);
-  }
-  MetricId gauge(std::string_view name) {
-    return instrument(name, InstrumentType::gauge);
-  }
-  MetricId histogram(std::string_view name) {
-    return instrument(name, InstrumentType::histogram);
-  }
-
-  void add(MetricId id, std::uint64_t by = 1) {
-    instruments_[id].value += by;
-  }
-  void add(MetricId id, std::uint32_t instance, std::uint64_t by) {
-    Instrument& ins = instruments_[id];
-    ins.value += by;
-    ins.per_instance[instance] += by;
-  }
-  void gauge_set(MetricId id, std::uint64_t v) { instruments_[id].value = v; }
-  void gauge_max(MetricId id, std::uint64_t v) {
-    if (v > instruments_[id].value) instruments_[id].value = v;
-  }
-  void observe(MetricId id, std::uint64_t v) {
-    Instrument& ins = instruments_[id];
-    if (ins.buckets.empty()) ins.buckets.assign(kHistBuckets, 0);
-    ins.buckets[bucket_of(v)]++;
-    ins.value++;  // histogram value = observation count
-  }
-
   // -------------------------------------------------------- configuration
 
   /// Enables the virtual-time series sampler (dvt <= 0 disables).
@@ -343,17 +306,6 @@ class MetricsRegistry {
   /// Total timer (non-delivery) events dispatched.
   [[nodiscard]] std::uint64_t timers_total() const { return timers_total_; }
 
-  struct Instrument {
-    std::string name;
-    InstrumentType type = InstrumentType::counter;
-    std::uint64_t value = 0;
-    std::vector<std::uint64_t> buckets;  // histograms only
-    std::map<std::uint32_t, std::uint64_t> per_instance;
-  };
-  [[nodiscard]] const std::vector<Instrument>& instruments() const {
-    return instruments_;
-  }
-
   [[nodiscard]] static std::size_t bucket_of(std::uint64_t v) {
     std::size_t b = 0;
     while (v != 0) {
@@ -379,7 +331,6 @@ class MetricsRegistry {
     return instance_rows_[idx];
   }
   std::size_t kind_id(std::string_view kind);
-  MetricId instrument(std::string_view name, InstrumentType type);
   void sample_up_to(Time t);
 
   Metrics* compat_ = nullptr;
@@ -397,9 +348,6 @@ class MetricsRegistry {
       std::vector<std::uint64_t>(kHistBuckets, 0);
   std::vector<std::uint64_t> payload_hist_ =
       std::vector<std::uint64_t>(kHistBuckets, 0);
-
-  std::vector<Instrument> instruments_;
-  std::map<std::string, MetricId, std::less<>> instrument_ids_;
 
   Time sample_dvt_ = 0;
   Time next_sample_ = 0;
@@ -423,8 +371,9 @@ struct PaperCostTerm {
 
 /// Writes the full "nampc-metrics/1" JSONL dump for a finished (or valve-
 /// tripped) simulation: header line, series samples, per-party / per-
-/// instance / per-kind attribution rows, named instruments, histograms,
-/// and the closing totals line. Byte-deterministic for a given run.
+/// instance / per-kind attribution rows, the queue-depth and payload-size
+/// histograms, and the closing totals line. Byte-deterministic for a given
+/// run.
 void write_metrics_jsonl(std::ostream& os, const Simulation& sim);
 
 /// Writes the "nampc-flight/1" JSON flight record; returns false (writing

@@ -467,12 +467,13 @@ class MpcMonitor final : public InvariantMonitor {
 };
 
 // ---------------------------------------------------------------------------
-// Privacy (the bound Simulation::audit_privacy asserts): in any single
-// sharing instance at most ts honest row polynomials ever become public.
-// Escalated here from an assert to a reported Violation carrying the
-// instance key and the revealed party set, so infeasible or adversarial
-// runs surface the leak instead of aborting (the assert stays available
-// behind Config::privacy_audit).
+// Privacy (the bound Simulation::audit_privacy asserts, judged by the same
+// Metrics::HonestReveal::exceeds): in any single sharing instance at most
+// ts honest row polynomials ever become public. Escalated here from an
+// assert to a reported Violation carrying the instance key and the
+// revealed party set, so infeasible or adversarial runs surface the leak
+// instead of aborting (the assert stays available behind
+// Config::privacy_audit).
 
 class PrivacyMonitor final : public InvariantMonitor {
  public:
@@ -481,24 +482,15 @@ class PrivacyMonitor final : public InvariantMonitor {
   void on_event(const ProtocolEvent& ev) override { (void)ev; }
 
   void at_quiescence(const Simulation& sim) override {
-    const auto ts = static_cast<std::uint64_t>(engine().params().ts);
-    const Metrics& m = sim.metrics();
-    for (const auto& [key, count] : m.honest_polys_by_instance) {
+    const int ts = engine().params().ts;
+    for (const auto& [key, reveal] : sim.metrics().honest_reveals) {
       bump_checks();
-      if (count <= ts) continue;
-      PartySet parties;
-      if (const auto it = m.honest_reveal_masks.find(key);
-          it != m.honest_reveal_masks.end()) {
-        parties = PartySet(it->second);
-      }
-      std::string detail = std::to_string(count) +
-                           " honest row polynomials revealed > ts = " +
-                           std::to_string(ts);
-      if (const auto it = m.honest_reveal_dealers.find(key);
-          it != m.honest_reveal_dealers.end()) {
-        detail += " (dealer " + std::to_string(it->second) + ")";
-      }
-      report({{}, "wss", key, parties, sim.now(), detail});
+      if (!reveal.exceeds(ts)) continue;
+      report({{}, "wss", key, PartySet(reveal.mask), sim.now(),
+              std::to_string(reveal.count) +
+                  " honest row polynomials revealed > ts = " +
+                  std::to_string(ts) + " (dealer " +
+                  std::to_string(reveal.dealer) + ")"});
     }
   }
 };

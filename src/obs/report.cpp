@@ -1,6 +1,7 @@
 #include "obs/report.h"
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "obs/analysis.h"
@@ -83,8 +84,14 @@ void write_run_report(std::ostream& os, const Simulation& sim,
   w.kv("wss_restarts", m.wss_restarts);
   w.kv("beaver_mults", m.beaver_mults);
   w.kv("rs_decodes", m.rs_decodes);
+  // Per dealer, the most honest rows revealed in any one of its instances.
+  std::map<int, std::uint64_t> worst_by_dealer;
+  for (const auto& [key, reveal] : m.honest_reveals) {
+    std::uint64_t& worst = worst_by_dealer[reveal.dealer];
+    worst = std::max(worst, reveal.count);
+  }
   w.key("honest_polys_revealed").begin_object();
-  for (const auto& [dealer, count] : m.honest_polys_revealed) {
+  for (const auto& [dealer, count] : worst_by_dealer) {
     std::string name = "P";
     name += std::to_string(dealer);
     w.kv(name, count);

@@ -78,8 +78,7 @@ void Tracer::on_send(int party, const std::string& key, std::uint64_t words) {
 
 void Tracer::on_flow(int from, int to, std::uint64_t words, Time send,
                      Time arrival, const std::string& key) {
-  if (!options_.record_flows) return;
-  if (flows_.size() >= options_.max_flows) {
+  if (flows_.size() >= kMaxFlows) {
     dropped_flows_++;
     return;
   }

@@ -73,15 +73,9 @@ struct TraceFlow {
 
 class Tracer {
  public:
-  struct Options {
-    /// Record per-message flows (can dominate memory for big MPC runs).
-    bool record_flows = true;
-    /// Hard cap on recorded flows; further deliveries only bump a counter.
-    std::size_t max_flows = 1'000'000;
-  };
-
-  Tracer() = default;
-  explicit Tracer(const Options& options) : options_(options) {}
+  /// Cap on recorded flows, which bounds the tracer's memory on big MPC
+  /// runs; further deliveries only bump dropped_flows().
+  static constexpr std::size_t kMaxFlows = 1'000'000;
 
   // --- hooks, called by the simulator ---
   void open_span(int party, const std::string& key, Time now);
@@ -114,7 +108,6 @@ class Tracer {
  private:
   [[nodiscard]] int find_open(int party, const std::string& key) const;
 
-  Options options_;
   std::vector<TraceSpan> spans_;
   std::vector<TraceFlow> flows_;
   std::uint64_t dropped_flows_ = 0;

@@ -47,23 +47,4 @@ void BatchEval::eval_at_parties(const Polynomial& poly, int n, FpVec& out) {
   }
 }
 
-void BatchEval::eval_many_at_parties(const std::vector<Polynomial>& polys,
-                                     int n, FpGrid& out) {
-  out.reset(polys.size(), static_cast<std::size_t>(n));
-  // One table at the family's widest geometry covers every member: a
-  // narrower coefficient vector just uses a prefix of each power row.
-  std::size_t width = 0;
-  for (const Polynomial& p : polys) width = std::max(width, p.coeffs().size());
-  if (width == 0) return;
-  const FpGrid& v = vandermonde(n, width);
-  for (std::size_t k = 0; k < polys.size(); ++k) {
-    const FpVec& coeffs = polys[k].coeffs();
-    Fp* row = out.row(k);
-    for (int j = 0; j < n; ++j) {
-      row[j] = fp_dot(coeffs.data(), v.row(static_cast<std::size_t>(j)),
-                      coeffs.size());
-    }
-  }
-}
-
 }  // namespace nampc

@@ -36,12 +36,6 @@ class BatchEval {
   /// out[j] = poly(eval_point(j)) for j < n, via the cached power table.
   void eval_at_parties(const Polynomial& poly, int n, FpVec& out);
 
-  /// Batched sweep: out.at(k, j) = polys[k](eval_point(j)). One table
-  /// lookup for the whole family — the multi-codeword product behind
-  /// rs_encode_batch and the dealer's row table in Π_WSS.
-  void eval_many_at_parties(const std::vector<Polynomial>& polys, int n,
-                            FpGrid& out);
-
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
   void clear();

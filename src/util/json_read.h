@@ -1,16 +1,20 @@
 // Minimal JSON reading for observability tooling (trace analysis, bench
-// shape checks, tests that parse run reports). Counterpart of util/json.h:
-// handles exactly the subset JsonWriter emits — objects, arrays, strings,
-// numbers, booleans, null — keeps object members in input order, and keeps
-// \uXXXX escapes verbatim (no codepoint decoding), so round-tripping equal
-// inputs yields equal values. Header-only; throws nothing (parse reports
-// errors by return value), but JsonValue::at asserts on missing members.
+// shape checks, tests that parse run reports) and the files the tools take
+// as input (schedules, fuzz seeds, lint thresholds). Counterpart of
+// util/json.h: handles exactly the subset JsonWriter emits — objects,
+// arrays, strings, numbers, booleans, null — keeps object members in input
+// order, and keeps \uXXXX escapes verbatim (no codepoint decoding), so
+// round-tripping equal inputs yields equal values. A bare token must be
+// true, false, null or a JSON number; anything else (nan, inf, 12abc) is a
+// parse error. Header-only; throws nothing (parse reports errors by return
+// value), but JsonValue::at asserts on missing members.
 #pragma once
 
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -78,9 +82,38 @@ class JsonParser {
  private:
   void skip_ws() {
     while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r')) {
       ++pos_;
     }
+  }
+
+  /// true / false / null, or a number matching
+  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  static bool is_literal(std::string_view t) {
+    if (t == "true" || t == "false" || t == "null") return true;
+    std::size_t i = 0;
+    const auto digits = [&t, &i] {
+      const std::size_t start = i;
+      while (i < t.size() && t[i] >= '0' && t[i] <= '9') ++i;
+      return i > start;
+    };
+    if (i < t.size() && t[i] == '-') ++i;
+    if (i < t.size() && t[i] == '0') {
+      ++i;
+    } else if (!digits()) {
+      return false;
+    }
+    if (i < t.size() && t[i] == '.') {
+      ++i;
+      if (!digits()) return false;
+    }
+    if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+      ++i;
+      if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+      if (!digits()) return false;
+    }
+    return i == t.size();
   }
 
   bool fail(const std::string& why) {
@@ -108,6 +141,10 @@ class JsonParser {
     }
     if (pos_ == start) return fail("unexpected character");
     out.text = text_.substr(start, pos_ - start);
+    if (!is_literal(out.text)) {
+      pos_ = start;
+      return fail("invalid literal '" + out.text + "'");
+    }
     return true;
   }
 

@@ -29,37 +29,37 @@ struct Metrics {
   std::uint64_t payload_pool_misses = 0; ///< send_all bodies allocated
   std::uint64_t peak_queue_depth = 0;    ///< max in-flight DES events
 
-  /// Privacy audit: per (dealer id), the maximum number of honest univariate
-  /// polynomials made public in any single sharing instance dealt by that
-  /// party. Proofs require each <= ts; the simulator asserts this at
-  /// quiescence (Simulation::Config::privacy_audit).
-  std::map<int, std::uint64_t> honest_polys_revealed;
+  /// One sharing instance's entry in the privacy ledger.
+  struct HonestReveal {
+    std::uint64_t count = 0;  ///< honest row polynomials made public there
+    int dealer = -1;
+    /// Bitmask of those honest parties. A reporting aid only: ids >= 64
+    /// (possible at the widened n = 128 cap) fall outside its single word.
+    std::uint64_t mask = 0;
 
-  /// Per sharing-instance key, the number of honest rows made public there.
-  /// Instance keys are identical across parties, so each logical reveal is
-  /// recorded exactly once (by the revealed party's own instance).
-  std::map<std::string, std::uint64_t> honest_polys_by_instance;
+    /// The §6/§7 privacy bound: at most ts honest row polynomials become
+    /// public per sharing instance. The quiescence audit
+    /// (Simulation::Config::privacy_audit) and the privacy monitor both
+    /// judge an instance by this predicate.
+    [[nodiscard]] bool exceeds(int ts) const {
+      return count > static_cast<std::uint64_t>(ts);
+    }
+  };
 
-  /// Per sharing-instance key, the bitmask of honest parties whose rows were
-  /// made public there and the dealer of that instance — the privacy monitor
-  /// reports these as the offending party set when the bound breaks.
-  std::map<std::string, std::uint64_t> honest_reveal_masks;
-  std::map<std::string, int> honest_reveal_dealers;
+  /// Privacy ledger, per sharing-instance key. Instance keys are identical
+  /// across parties, so each logical reveal is recorded exactly once (by
+  /// the revealed party's own instance copy).
+  std::map<std::string, HonestReveal> honest_reveals;
 
   /// Records that honest party `member` (the instance copy's owner) had its
   /// row polynomial made public in sharing instance `instance_key` dealt by
-  /// `dealer`. Maintains the per-dealer maximum for the privacy audit.
+  /// `dealer`. The only writer of the ledger.
   void note_honest_reveal(const std::string& instance_key, int dealer,
                           int member) {
-    const std::uint64_t count = ++honest_polys_by_instance[instance_key];
-    // The offender mask is a reporting aid only; ids >= 64 (possible at the
-    // widened n = 128 cap) simply fall outside its single word.
-    if (member >= 0 && member < 64) {
-      honest_reveal_masks[instance_key] |= (1ull << member);
-    }
-    honest_reveal_dealers[instance_key] = dealer;
-    std::uint64_t& worst = honest_polys_revealed[dealer];
-    if (count > worst) worst = count;
+    HonestReveal& r = honest_reveals[instance_key];
+    r.count++;
+    r.dealer = dealer;
+    if (member >= 0 && member < 64) r.mask |= 1ull << member;
   }
 };
 

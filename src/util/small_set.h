@@ -41,12 +41,6 @@ class PartySet {
     return s;
   }
 
-  static PartySet from_vector(const std::vector<int>& ids) {
-    PartySet s;
-    for (int id : ids) s.insert(id);
-    return s;
-  }
-
   void insert(int id) {
     NAMPC_REQUIRE(id >= 0 && id < kMaxParties, "party id out of range");
     if (id < 64) lo_ |= (1ull << id);

@@ -3,7 +3,7 @@
 // ring-buffer forensics and the quiescence privacy audit.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
@@ -17,167 +17,13 @@
 #include "obs/tracer.h"
 #include "sharing/wss.h"
 #include "sim_helpers.h"
+#include "util/json_read.h"
 
 namespace nampc {
 namespace {
 
 using testing::make_sim;
 using testing::SimSpec;
-
-// ------------------------------------------------------------------------
-// Minimal JSON parser — validation only. The library itself is write-only
-// (util/json.h), so tests bring their own reader.
-
-struct JsonValue {
-  enum class Type { null, boolean, number, string, array, object };
-  Type type = Type::null;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<JsonValue> arr;
-  std::map<std::string, JsonValue> obj;
-
-  [[nodiscard]] const JsonValue& at(const std::string& k) const {
-    static const JsonValue missing;
-    const auto it = obj.find(k);
-    return it == obj.end() ? missing : it->second;
-  }
-  [[nodiscard]] bool has(const std::string& k) const {
-    return obj.count(k) > 0;
-  }
-  [[nodiscard]] std::int64_t as_int() const {
-    return static_cast<std::int64_t>(num);
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  bool parse(JsonValue& out) {
-    const bool ok = value(out);
-    skip_ws();
-    return ok && pos_ == s_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                                s_[pos_] == '\n' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool lit(const char* word, JsonValue& v, JsonValue::Type t, bool b) {
-    const std::size_t len = std::string(word).size();
-    if (s_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    v.type = t;
-    v.b = b;
-    return true;
-  }
-  bool string_token(std::string& out) {
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        if (pos_ + 1 >= s_.size()) return false;
-        const char c = s_[pos_ + 1];
-        switch (c) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u':
-            if (pos_ + 5 >= s_.size()) return false;
-            out += '?';  // tests never check escaped content
-            pos_ += 4;
-            break;
-          default: return false;
-        }
-        pos_ += 2;
-      } else {
-        out += s_[pos_++];
-      }
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool value(JsonValue& v) {
-    skip_ws();
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    if (c == 'n') return lit("null", v, JsonValue::Type::null, false);
-    if (c == 't') return lit("true", v, JsonValue::Type::boolean, true);
-    if (c == 'f') return lit("false", v, JsonValue::Type::boolean, false);
-    if (c == '"') {
-      v.type = JsonValue::Type::string;
-      return string_token(v.str);
-    }
-    if (c == '{') {
-      ++pos_;
-      v.type = JsonValue::Type::object;
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == '}') { ++pos_; return true; }
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!string_token(key)) return false;
-        skip_ws();
-        if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-        ++pos_;
-        JsonValue member;
-        if (!value(member)) return false;
-        v.obj.emplace(std::move(key), std::move(member));
-        skip_ws();
-        if (pos_ >= s_.size()) return false;
-        if (s_[pos_] == ',') { ++pos_; continue; }
-        if (s_[pos_] == '}') { ++pos_; return true; }
-        return false;
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      v.type = JsonValue::Type::array;
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == ']') { ++pos_; return true; }
-      while (true) {
-        JsonValue elem;
-        if (!value(elem)) return false;
-        v.arr.push_back(std::move(elem));
-        skip_ws();
-        if (pos_ >= s_.size()) return false;
-        if (s_[pos_] == ',') { ++pos_; continue; }
-        if (s_[pos_] == ']') { ++pos_; return true; }
-        return false;
-      }
-    }
-    // number
-    const std::size_t start = pos_;
-    if (s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    v.type = JsonValue::Type::number;
-    v.num = std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
-    return true;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-bool parse_json(const std::string& text, JsonValue& out) {
-  return JsonParser(text).parse(out);
-}
 
 // ------------------------------------------------------------------------
 // Restores the global Log configuration after a test body mutated it.
@@ -251,17 +97,18 @@ TEST(Obs, TraceSpanKindsMatchMetricsCounters) {
 TEST(Obs, ChromeTraceParsesAndCoversAllParties) {
   TracedRun run(/*seed=*/22);
   JsonValue trace;
-  ASSERT_TRUE(parse_json(run.trace_json, trace)) << run.trace_json.substr(0, 200);
-  ASSERT_TRUE(trace.has("traceEvents"));
-  const auto& events = trace.at("traceEvents").arr;
+  std::string error;
+  ASSERT_TRUE(json_parse(run.trace_json, trace, error)) << error;
+  ASSERT_NE(trace.find("traceEvents"), nullptr);
+  const auto& events = trace.at("traceEvents").items;
   ASSERT_FALSE(events.empty());
   std::map<std::string, int> by_ph;
   std::map<int, int> spans_by_party;
   for (const JsonValue& e : events) {
-    by_ph[e.at("ph").str]++;
-    if (e.at("ph").str == "X") {
-      spans_by_party[static_cast<int>(e.at("pid").num)]++;
-      EXPECT_GE(e.at("dur").num, 0.0);
+    by_ph[e.at("ph").text]++;
+    if (e.at("ph").text == "X") {
+      spans_by_party[static_cast<int>(e.at("pid").i64())]++;
+      EXPECT_GE(e.at("dur").num(), 0.0);
     }
   }
   EXPECT_GT(by_ph["X"], 0);   // duration spans
@@ -276,34 +123,32 @@ TEST(Obs, ChromeTraceParsesAndCoversAllParties) {
 TEST(Obs, RunReportParsesAndMirrorsMetrics) {
   TracedRun run(/*seed=*/23);
   JsonValue report;
-  ASSERT_TRUE(parse_json(run.report_json, report))
-      << run.report_json.substr(0, 200);
-  EXPECT_EQ(report.at("schema").str, "nampc-run-report/4");
-  EXPECT_EQ(report.at("status").str, "quiescent");
-  EXPECT_EQ(report.at("config").at("n").as_int(), 4);
-  EXPECT_EQ(report.at("config").at("seed").as_int(), 23);
+  std::string error;
+  ASSERT_TRUE(json_parse(run.report_json, report, error)) << error;
+  EXPECT_EQ(report.at("schema").text, "nampc-run-report/4");
+  EXPECT_EQ(report.at("status").text, "quiescent");
+  EXPECT_EQ(report.at("config").at("n").i64(), 4);
+  EXPECT_EQ(report.at("config").at("seed").i64(), 23);
 
   const Metrics& m = run.sim->metrics();
   const auto& metrics = report.at("metrics");
-  EXPECT_EQ(metrics.at("messages_sent").as_int(),
-            static_cast<std::int64_t>(m.messages_sent));
-  EXPECT_EQ(metrics.at("events_processed").as_int(),
-            static_cast<std::int64_t>(m.events_processed));
+  EXPECT_EQ(metrics.at("messages_sent").u64(), m.messages_sent);
+  EXPECT_EQ(metrics.at("events_processed").u64(), m.events_processed);
 
   // Acceptance check: per-primitive span counts equal the registry's tag
   // counts, which the report carries once, under measured_cost.
   const auto& prim = report.at("primitives");
   const auto& cost = report.at("measured_cost");
   for (const char* kind : {"bc", "wss", "vss"}) {
-    ASSERT_TRUE(prim.has(kind)) << kind;
-    ASSERT_TRUE(cost.has(kind)) << kind;
-    EXPECT_EQ(prim.at(kind).at("count").as_int(),
-              cost.at(kind).at("tagged_copies").as_int())
+    ASSERT_NE(prim.find(kind), nullptr) << kind;
+    ASSERT_NE(cost.find(kind), nullptr) << kind;
+    EXPECT_EQ(prim.at(kind).at("count").i64(),
+              cost.at(kind).at("tagged_copies").i64())
         << kind;
-    EXPECT_FALSE(metrics.has(std::string(kind) + "_instances")) << kind;
+    EXPECT_EQ(metrics.find(std::string(kind) + "_instances"), nullptr) << kind;
   }
   // Completed primitives report latency percentiles in virtual time.
-  EXPECT_GE(prim.at("bc").at("latency").at("p50").num, 0.0);
+  EXPECT_GE(prim.at("bc").at("latency").at("p50").num(), 0.0);
 }
 
 TEST(Obs, SameSeedRunsAreBitIdentical) {
@@ -317,7 +162,8 @@ TEST(Obs, SameSeedRunsAreBitIdentical) {
   // A different seed must still parse but may differ.
   TracedRun c(/*seed=*/32);
   JsonValue v;
-  EXPECT_TRUE(parse_json(c.trace_json, v));
+  std::string error;
+  EXPECT_TRUE(json_parse(c.trace_json, v, error)) << error;
 }
 
 TEST(Obs, SubtreeAggregationIsMonotone) {
@@ -382,12 +228,15 @@ TEST(Obs, AssertionFailureDumpsRing) {
 
 TEST(Obs, PrivacyAuditFailsLoudlyAtQuiescence) {
   auto sim = make_sim({.params = {4, 1, 0}});
-  sim->metrics().honest_polys_revealed[0] = 2;  // ts = 1: bound violated
+  sim->metrics().note_honest_reveal("w", 0, 1);
+  sim->metrics().note_honest_reveal("w", 0, 2);  // ts = 1: bound violated
   EXPECT_THROW((void)sim->run(), InvariantError);
 
-  // An in-bound count passes.
+  // An in-bound count passes, also when the same dealer reveals one row in
+  // each of two instances.
   auto ok = make_sim({.params = {4, 1, 0}});
-  ok->metrics().honest_polys_revealed[0] = 1;
+  ok->metrics().note_honest_reveal("w1", 0, 1);
+  ok->metrics().note_honest_reveal("w2", 0, 2);
   EXPECT_EQ(ok->run(), RunStatus::quiescent);
 }
 
@@ -396,7 +245,12 @@ TEST(Obs, PrivacyAuditHoldsOnRealRuns) {
   // this test additionally checks the recorded per-dealer maxima directly.
   TracedRun run(/*seed=*/25);
   ASSERT_EQ(run.status, RunStatus::quiescent);
-  for (const auto& [dealer, worst] : run.sim->metrics().honest_polys_revealed) {
+  std::map<int, std::uint64_t> worst_by_dealer;
+  for (const auto& [key, reveal] : run.sim->metrics().honest_reveals) {
+    std::uint64_t& worst = worst_by_dealer[reveal.dealer];
+    worst = std::max(worst, reveal.count);
+  }
+  for (const auto& [dealer, worst] : worst_by_dealer) {
     EXPECT_LE(worst, 1u) << "dealer " << dealer;  // ts = 1 in TracedRun
   }
 }
@@ -424,11 +278,12 @@ TEST(Obs, JsonLinesSinkEmitsParseableRecords) {
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
     JsonValue v;
-    ASSERT_TRUE(parse_json(line, v)) << line;
-    EXPECT_TRUE(v.has("level"));
-    EXPECT_TRUE(v.has("msg"));
+    std::string error;
+    ASSERT_TRUE(json_parse(line, v, error)) << error << ": " << line;
+    EXPECT_NE(v.find("level"), nullptr);
+    EXPECT_NE(v.find("msg"), nullptr);
     ++records;
-    if (v.has("t") && v.has("party") && v.has("module")) ++with_context;
+    if (v.find("t") && v.find("party") && v.find("module")) ++with_context;
   }
   EXPECT_GT(records, 0);
   EXPECT_GT(with_context, 0) << "NAMPC_PLOG context fields missing";
@@ -567,13 +422,14 @@ TEST(ObsAnalysis, RunReportCarriesMonitorVerdict) {
   std::ostringstream os;
   obs::write_run_report(os, *sim, status, nullptr);
   JsonValue report;
-  ASSERT_TRUE(parse_json(os.str(), report)) << os.str().substr(0, 200);
-  ASSERT_TRUE(report.has("monitors"));
+  std::string error;
+  ASSERT_TRUE(json_parse(os.str(), report, error)) << error;
+  ASSERT_NE(report.find("monitors"), nullptr);
   const JsonValue& mon = report.at("monitors");
-  EXPECT_TRUE(mon.at("ok").b);
-  EXPECT_GT(mon.at("events").as_int(), 0);
-  EXPECT_EQ(mon.at("attached").as_int(), 7);
-  EXPECT_TRUE(mon.at("violations").arr.empty());
+  EXPECT_TRUE(mon.at("ok").boolean());
+  EXPECT_GT(mon.at("events").i64(), 0);
+  EXPECT_EQ(mon.at("attached").i64(), 7);
+  EXPECT_TRUE(mon.at("violations").items.empty());
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
-// Unit tests: codec, PartySet, Rng, timing formulas, metrics plumbing.
+// Unit tests: codec, JSON reading, PartySet, Rng, timing formulas, metrics
+// plumbing.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <span>
+#include <sstream>
 
 #include "net/time.h"
 #include "util/codec.h"
+#include "util/json.h"
+#include "util/json_read.h"
 #include "util/rng.h"
 #include "util/small_set.h"
 
@@ -78,6 +83,42 @@ TEST(Codec, SeqRoundTrip) {
   const auto out =
       r.seq<int>([](Reader& rr) { return static_cast<int>(rr.i64()); });
   EXPECT_EQ(out, items);
+}
+
+// The reader parses outside input (schedules, fuzz seeds, metrics dumps,
+// lint thresholds): a bare token must be a JSON literal, so a malformed
+// number is an error rather than a read of its numeric prefix.
+TEST(JsonRead, RejectsNonJsonLiterals) {
+  std::string error;
+  for (const char* bad : {"[nan]", "[inf]", "[tru]", "[1x]",
+                          "{\"delay\": 12abc}", "[01]", "[1.]", "[.5]",
+                          "[1e]", "[+1]", "[-]", "[\v1]"}) {
+    JsonValue v;
+    EXPECT_FALSE(json_parse(bad, v, error)) << bad;
+  }
+  JsonValue literals;
+  EXPECT_TRUE(json_parse("[true, false, null, -0, 0.5E+3]", literals, error))
+      << error;
+
+  // Whatever JsonWriter emits reads back to the value written.
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.begin_array();
+  w.value(std::numeric_limits<std::uint64_t>::max());
+  w.value(std::int64_t{-42});
+  w.value(1e6);  // printed as 1e+06
+  w.value(-1.5e-7);
+  w.value(0.25);
+  w.end_array();
+  JsonValue v;
+  ASSERT_TRUE(json_parse(os.str(), v, error)) << os.str() << ": " << error;
+  ASSERT_EQ(v.items.size(), 5u);
+  EXPECT_EQ(v.items[0].u64(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(v.items[1].i64(), -42);
+  EXPECT_EQ(v.items[2].text, "1e+06");
+  EXPECT_EQ(v.items[2].num(), 1e6);
+  EXPECT_EQ(v.items[3].num(), -1.5e-7);
+  EXPECT_EQ(v.items[4].num(), 0.25);
 }
 
 TEST(PartySet, BasicOperations) {

@@ -17,13 +17,14 @@
 //       additionally writes one "nampc-metrics/1" cost-attribution dump per
 //       campaign (FUZZ_<primitive>_c<campaign>.jsonl; stalled campaigns add
 //       a "nampc-flight/1" .flight.json) — inspect with tools/nampc_prof.
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "fuzz/fuzz.h"
+#include "util/parse.h"
 #include "util/sweep.h"
 
 namespace {
@@ -98,15 +99,21 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](const char* flag, auto& out) {
+      if (!parse_number(next(flag), out)) {
+        std::cerr << "nampc_fuzz: malformed value for " << flag << '\n';
+        std::exit(2);
+      }
+    };
     if (arg == "--primitive") {
       options.primitive = next("--primitive");
       have_primitive = true;
     } else if (arg == "--campaigns") {
-      options.campaigns = std::atoi(next("--campaigns"));
+      number("--campaigns", options.campaigns);
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(next("--seed"), nullptr, 10);
+      number("--seed", options.seed);
     } else if (arg == "--max-events") {
-      options.max_events = std::strtoull(next("--max-events"), nullptr, 10);
+      number("--max-events", options.max_events);
     } else if (arg == "--mutants") {
       options.mutants = true;
     } else if (arg == "--shrink") {

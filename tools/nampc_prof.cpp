@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "util/json_read.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -54,12 +55,9 @@ const char* show_kind(const std::string& kind) {
 struct Dump {
   JsonValue header;
   std::vector<JsonValue> samples;
-  std::vector<JsonValue> parties;
   JsonValue unattributed;
   std::vector<JsonValue> instances;
   std::vector<JsonValue> kinds;
-  std::vector<JsonValue> hists;
-  std::vector<JsonValue> counters;  // counter + gauge rows
   JsonValue total;
   std::uint64_t dropped_samples = 0;
   bool have_total = false;
@@ -104,25 +102,20 @@ FileKind load_file(const std::string& path, Dump& dump, JsonValue& flight,
     const std::string row = gs(v, "row");
     if (row == "sample") {
       dump.samples.push_back(std::move(v));
-    } else if (row == "party") {
-      dump.parties.push_back(std::move(v));
     } else if (row == "unattributed") {
       dump.unattributed = std::move(v);
     } else if (row == "instance") {
       dump.instances.push_back(std::move(v));
     } else if (row == "kind") {
       dump.kinds.push_back(std::move(v));
-    } else if (row == "hist") {
-      dump.hists.push_back(std::move(v));
-    } else if (row == "counter" || row == "gauge") {
-      dump.counters.push_back(std::move(v));
     } else if (row == "dropped_samples") {
       dump.dropped_samples = gu(v, "count");
     } else if (row == "total") {
       dump.total = std::move(v);
       dump.have_total = true;
     } else {
-      // Unknown row types are forward-compatible: skip.
+      // Party and histogram rows are not read here; unknown row types
+      // are forward-compatible. All are skipped.
     }
   }
   if (first) {
@@ -474,7 +467,7 @@ int main(int argc, char** argv) {
     if (arg == "--top") {
       top_mode = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
-        top_k = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+        if (!nampc::parse_number(argv[++i], top_k)) return usage();
         if (top_k == 0) top_k = 20;
       }
     } else if (arg == "--series") {
