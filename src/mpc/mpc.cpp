@@ -91,7 +91,6 @@ Mpc::Mpc(Party& party, std::string key, const Circuit& circuit,
     inp_[static_cast<std::size_t>(z)][static_cast<std::size_t>(my_id())]
         ->start(input_rows);
   }
-  (void)ta;
 
   // Multiplication gates grouped by multiplicative level.
   mults_at_level_.resize(
@@ -105,10 +104,15 @@ Mpc::Mpc(Party& party, std::string key, const Circuit& circuit,
 
 void Mpc::on_message(const Message& msg) { (void)msg; }
 
+bool Mpc::dealings_done(int z, int d) const {
+  const auto zz = static_cast<std::size_t>(z);
+  const auto dd = static_cast<std::size_t>(d);
+  return vts_[zz][dd]->outcome() == VtsOutcome::triples &&
+         inp_[zz][dd]->outcome() == WssOutcome::rows;
+}
+
 void Mpc::on_dealer_done(int z, int d) {
-  Vts* v = vts_[static_cast<std::size_t>(z)][static_cast<std::size_t>(d)];
-  Vss* i = inp_[static_cast<std::size_t>(z)][static_cast<std::size_t>(d)];
-  if (v->outcome() == VtsOutcome::triples && i->outcome() == WssOutcome::rows) {
+  if (dealings_done(z, d)) {
     acs1_[static_cast<std::size_t>(z)]->mark(d);
     try_enter_online();
   }
@@ -134,12 +138,7 @@ void Mpc::try_enter_online() {
   if (!done.has_value()) return;  // our own ACS for z concludes eventually
   // All Com dealers' instances must have concluded locally.
   for (int d : done->to_vector()) {
-    Vts* v = vts_[static_cast<std::size_t>(z)][static_cast<std::size_t>(d)];
-    Vss* i = inp_[static_cast<std::size_t>(z)][static_cast<std::size_t>(d)];
-    if (v->outcome() != VtsOutcome::triples ||
-        i->outcome() != WssOutcome::rows) {
-      return;
-    }
+    if (!dealings_done(z, d)) return;
   }
   online_entered_ = true;
   phase("online");
@@ -268,11 +267,7 @@ void Mpc::finish_outputs() {
   output_values_.assign(outs.size(), Fp(0));
   output_known_.assign(outs.size(), false);
   if (outs.empty()) {
-    output_ = FpVec{};
-    output_time_ = now();
-    span_done();
-    notify_output(mpc_output_event(output_known_, output_values_));
-    if (on_output_) on_output_(*output_);
+    deliver_output();
     return;
   }
   // Split output wires: public ones open via PubRec; private ones go to
@@ -304,11 +299,7 @@ void Mpc::finish_outputs() {
                           (private_idx.count(my_id()) != 0 ? 1 : 0);
   if (pending_output_parts_ == 0) {
     // Nothing addressed to us beyond contributing shares below.
-    output_ = output_values_;
-    output_time_ = now();
-    span_done();
-    notify_output(mpc_output_event(output_known_, output_values_));
-    if (on_output_) on_output_(*output_);
+    deliver_output();
   }
   if (!public_idx.empty()) {
     auto& pub = make_child<PubRec>(
@@ -336,6 +327,10 @@ void Mpc::on_output_part(const std::vector<int>& indices,
     output_known_[k] = true;
   }
   if (--pending_output_parts_ > 0) return;
+  deliver_output();
+}
+
+void Mpc::deliver_output() {
   output_ = output_values_;
   output_time_ = now();
   span_done();

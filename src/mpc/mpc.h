@@ -60,6 +60,9 @@ class Mpc : public ProtocolInstance {
   void on_message(const Message& msg) override;
 
  private:
+  /// True once both dealings of dealer d for subset z concluded locally:
+  /// verified triples from Π_VTS and input shares from Π_VSS.
+  [[nodiscard]] bool dealings_done(int z, int d) const;
   void on_dealer_done(int z, int d);
   void on_acs1(int z, PartySet com);
   void on_acs2(PartySet chosen);
@@ -69,6 +72,8 @@ class Mpc : public ProtocolInstance {
   void on_level_products(int level, const FpVec& z);
   void finish_outputs();
   void on_output_part(const std::vector<int>& indices, const FpVec& values);
+  /// Fixes output_ to output_values_ and delivers it.
+  void deliver_output();
 
   const Circuit& circuit_;
   FpVec my_inputs_;

@@ -11,6 +11,14 @@
 
 namespace nampc {
 
+/// Reads a party set (one word, n <= 64). A set naming an id >= n is
+/// malformed: honest parties index n-vertex graphs with its members.
+inline PartySet decode_party_set(Reader& r, int n) {
+  const PartySet s{r.u64()};
+  if (!s.subset_of(PartySet::full(n))) throw DecodeError("party id >= n");
+  return s;
+}
+
 /// Encodes a vector of polynomials (one per batched secret).
 inline void encode_polys(Writer& w, const std::vector<Polynomial>& polys) {
   w.u64(polys.size());

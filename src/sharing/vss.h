@@ -24,20 +24,11 @@ class Vss : public Wss {
   Vss(Party& party, std::string key, PartyId dealer, Time nominal_start,
       int num_secrets, PartySet z, OutputFn on_output)
       : Wss(party, std::move(key), dealer, nominal_start,
-            make_options(party, num_secrets, z), std::move(on_output)) {
+            WssOptions{num_secrets, z, /*inner_check=*/true},
+            std::move(on_output)) {
     // Overrides the base Wss tag for attribution; the registry's tag counts
     // still see both (a VSS counts under "wss" and "vss").
     span_kind("vss");
-  }
-
- private:
-  static WssOptions make_options(Party& party, int num_secrets, PartySet z) {
-    WssOptions o;
-    o.num_secrets = num_secrets;
-    o.z = z;
-    o.inner_check = true;
-    o.check_extra = party.sim().timing().t_wss_z;
-    return o;
   }
 };
 

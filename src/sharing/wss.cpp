@@ -32,6 +32,75 @@ RVector parse_report(const std::optional<Words>& payload, int n,
   }
 }
 
+/// Published rows evaluated at party `at`'s point, one per secret.
+FpVec eval_rows(const std::vector<Polynomial>& rows, int at) {
+  FpVec vals;
+  vals.reserve(rows.size());
+  for (const Polynomial& f : rows) vals.push_back(f.eval(eval_point(at)));
+  return vals;
+}
+
+/// The dealer's step-5/8 decisions (sync, G, Q_a) and (restart, U), as
+/// Wss::on_sync_or_restart parses them.
+Words sync_decision(const Graph& g, PartySet qa) {
+  Writer w;
+  w.u64(kTagSync);
+  g.encode(w);
+  w.u64(qa.mask());
+  return std::move(w).take();
+}
+
+Words restart_decision(PartySet u) {
+  Writer w;
+  w.u64(kTagRestart);
+  w.u64(u.mask());
+  return std::move(w).take();
+}
+
+/// The values a conflict broadcast (have, values) carries; nullopt when it
+/// is missing, malformed, or says it has none.
+std::optional<FpVec> conflict_values(const std::optional<Words>& out,
+                                     int num_secrets) {
+  if (!out.has_value()) return std::nullopt;
+  try {
+    Reader r(*out);
+    if (!r.boolean()) return std::nullopt;
+    FpVec vals = decode_values(r, static_cast<std::size_t>(num_secrets));
+    if (static_cast<int>(vals.size()) != num_secrets) return std::nullopt;
+    return vals;
+  } catch (const DecodeError&) {
+    return std::nullopt;
+  }
+}
+
+/// True when a dealer step's broadcast output is a (restart, U), however
+/// malformed its U.
+bool says_restart(const Bc& step) {
+  const auto& out = step.current_output();
+  if (!out.has_value()) return false;
+  try {
+    Reader r(*out);
+    return r.u64() == kTagRestart;
+  } catch (const DecodeError&) {
+    return false;
+  }
+}
+
+/// Decodes one row per secret from its points with the Table-1 schedule;
+/// nullopt as soon as one secret fails.
+std::optional<std::vector<Polynomial>> decode_rows(
+    const std::vector<std::vector<RsPoint>>& pts, int ts, int ta,
+    Metrics& metrics) {
+  std::vector<Polynomial> decoded;
+  for (const std::vector<RsPoint>& points : pts) {
+    metrics.rs_decodes++;
+    const auto res = rs_decode_scheduled(points, ts, ta);
+    if (res.result.status != RsStatus::ok) return std::nullopt;
+    decoded.push_back(res.result.poly);
+  }
+  return decoded;
+}
+
 }  // namespace
 
 Wss::Wss(Party& party, std::string key, PartyId dealer, Time nominal_start,
@@ -40,8 +109,7 @@ Wss::Wss(Party& party, std::string key, PartyId dealer, Time nominal_start,
       dealer_(dealer),
       nominal_start_(nominal_start),
       options_(options),
-      on_output_(std::move(on_output)),
-      dealer_async_graph_(n()) {
+      on_output_(std::move(on_output)) {
   NAMPC_REQUIRE(options_.num_secrets >= 1, "need at least one secret");
   aok_edges_from_.resize(static_cast<std::size_t>(n()));
   if (options_.z.has_value()) {
@@ -57,15 +125,14 @@ Wss::Wss(Party& party, std::string key, PartyId dealer, Time nominal_start,
   if (options_.z.has_value() || options_.inner_check) phase("z-conditioned");
 
   // Asynchronous-path AOK broadcasts: AOK_j Acast by P_i, for every (i, j).
-  aok_.resize(static_cast<std::size_t>(n()));
+  my_aoks_.resize(static_cast<std::size_t>(n()));
   for (int i = 0; i < n(); ++i) {
-    aok_[static_cast<std::size_t>(i)].resize(static_cast<std::size_t>(n()));
     for (int j = 0; j < n(); ++j) {
       if (i == j) continue;
-      aok_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          &make_child<Acast>(
-              "aok/" + std::to_string(i) + "_" + std::to_string(j), i,
-              [this, i, j](const Words&) { on_aok(i, j); });
+      Acast& aok = make_child<Acast>(
+          "aok/" + std::to_string(i) + "_" + std::to_string(j), i,
+          [this, i, j](const Words&) { on_aok(i, j); });
+      if (i == my_id()) my_aoks_[static_cast<std::size_t>(j)] = &aok;
     }
   }
   if (options_.inner_check) {
@@ -81,16 +148,16 @@ Wss::Wss(Party& party, std::string key, PartyId dealer, Time nominal_start,
     for (int j = 0; j < n(); ++j) {
       inner_[static_cast<std::size_t>(j)] = &make_child<Wss>(
           "inner" + std::to_string(j), j, nominal_start_ + timing().t_bc,
-          inner_opts, [this, j] { on_inner_output(j); });
+          inner_opts, [this, j] { on_check_point(j); });
     }
   }
   // The dealer's action-based (async, A, Qa) announcement.
   async_bcast_ = &make_child<Acast>("asyncq", dealer_, [this](const Words& m) {
     try {
       Reader r(m);
-      Graph a = Graph::decode(r);
-      const PartySet qa{r.u64()};
-      const PartySet u{r.u64()};
+      const Graph a = Graph::decode(r);
+      const PartySet qa = decode_party_set(r, n());
+      const PartySet u = decode_party_set(r, n());
       if (a.size() != n()) return;
       std::map<PartyId, std::vector<Polynomial>> u_rows;
       for (int member : u.to_vector()) {
@@ -105,7 +172,7 @@ Wss::Wss(Party& party, std::string key, PartyId dealer, Time nominal_start,
           note_revealed(member);
         }
       }
-      async_candidate_ = {std::move(a), qa};
+      async_qa_ = qa;
       async_u_ = u;
       try_accept_async();
     } catch (const DecodeError&) {
@@ -157,9 +224,14 @@ void Wss::start(std::vector<Polynomial> row0s) {
 
 // -------------------------------------------------------- scaling caches --
 
-Fp Wss::row_point(int k, int j) const {
-  return row_points_.at(static_cast<std::size_t>(k),
-                        static_cast<std::size_t>(j));
+FpVec Wss::row_points_for(int j) const {
+  FpVec vals;
+  vals.reserve(static_cast<std::size_t>(num_secrets()));
+  for (int k = 0; k < num_secrets(); ++k) {
+    vals.push_back(row_points_.at(static_cast<std::size_t>(k),
+                                  static_cast<std::size_t>(j)));
+  }
+  return vals;
 }
 
 std::vector<Polynomial> Wss::dealer_rows_for(int j) const {
@@ -188,8 +260,6 @@ void Wss::begin_iteration(Time start_time) {
   iterations_.push_back(std::move(it_owned));
   it.index = index;
   it.start = start_time;
-  it.continue_g = Graph(n());
-  it.pending_sync_g = Graph(n());
   it.r_vectors.resize(static_cast<std::size_t>(n()));
 
   phase("it" + std::to_string(index));
@@ -197,7 +267,7 @@ void Wss::begin_iteration(Time start_time) {
   const std::string pfx = "it" + std::to_string(index) + "/";
   const Time t_bc = timing().t_bc;
   const Time t_ba = timing().t_ba;
-  const Time x = options_.check_extra;  // T'_WSS in VSS mode, else 0
+  const Time x = check_shift();
 
   it.pub = &make_child<Bc>(pfx + "pub", dealer_, start_time,
                            [this, &it](const std::optional<Words>& m, BcPhase) {
@@ -209,11 +279,7 @@ void Wss::begin_iteration(Time start_time) {
         pfx + "r" + std::to_string(j), j, start_time + t_bc + x,
         [this, &it](const std::optional<Words>&, BcPhase phase) {
           if (phase == BcPhase::fallback) {
-            for (int jj = 0; jj < n(); ++jj) {
-              it.r_vectors[static_cast<std::size_t>(jj)] = parse_report(
-                  it.reports[static_cast<std::size_t>(jj)]->current_output(),
-                  n(), num_secrets());
-            }
+            parse_reports(it);
             retry_pending_accept(it);
           }
         });
@@ -295,11 +361,7 @@ void Wss::dealer_step5(Iteration& it) {
   if (dealer_row0s_.empty() || accepted_) return;
   // Regular-mode report outputs are available now (their Π_BC started at
   // S + T_BC); parse them before building W and the consistency graph.
-  for (int j = 0; j < n(); ++j) {
-    it.r_vectors[static_cast<std::size_t>(j)] = parse_report(
-        it.reports[static_cast<std::size_t>(j)]->current_output(), n(),
-        num_secrets());
-  }
+  parse_reports(it);
   // Grow W from the report broadcasts (only within Z when conditioned).
   PartySet w_set;
   const PartySet z = options_.z.value_or(PartySet::full(n()));
@@ -336,20 +398,13 @@ void Wss::dealer_step5(Iteration& it) {
   // LINT:threshold(wss.clique_quorum)
   if (const auto big = find_clique_including(g, dealer_u_, n() - ta())) {
     NAMPC_PLOG(trace) << "dealer step5 SYNC qa=" << big->str();
-    Writer w;
-    w.u64(kTagSync);
-    g.encode(w);
-    w.u64(big->mask());
-    it.dealer_step5->start(std::move(w).take());
+    it.dealer_step5->start(sync_decision(g, *big));
     return;
   }
   if (!w_set.empty()) {
     dealer_u_ = dealer_u_.union_with(w_set);
     clamp_dealer_u();
-    Writer w;
-    w.u64(kTagRestart);
-    w.u64(dealer_u_.mask());
-    it.dealer_step5->start(std::move(w).take());
+    it.dealer_step5->start(restart_decision(dealer_u_));
     return;
   }
   // Find a clique of size n - ts + |U| including U; when Z-conditioned the
@@ -395,14 +450,14 @@ void Wss::dealer_step5(Iteration& it) {
 void Wss::dealer_step8(Iteration& it) {
   if (dealer_row0s_.empty() || accepted_) return;
   // Only applicable when step 5 was 'continue'.
-  if (!it.continue_q.has_value() || !it.continue_v.has_value()) return;
-  const PartySet q = *it.continue_q;
-  const PartySet v = *it.continue_v;
+  if (!it.expansion.has_value()) return;
+  const PartySet q = it.expansion->q;
+  const PartySet v = it.expansion->v;
   const PartySet z = options_.z.value_or(PartySet::full(n()));
 
   PartySet w_set;
   PartySet stallers;
-  const Graph& g = it.continue_g;
+  const Graph& g = it.expansion->g;
   for (int j : v.to_vector()) {
     for (int k = 0; k < n(); ++k) {
       if (k == j || g.has_edge(j, k)) continue;
@@ -410,23 +465,15 @@ void Wss::dealer_step8(Iteration& it) {
       for (const auto& [speaker, about] :
            {std::pair<int, int>{j, k}, std::pair<int, int>{k, j}}) {
         const auto bc_it = it.conflict_bcs.find({speaker, about});
-        bool ok = false;
-        if (bc_it != it.conflict_bcs.end()) {
-          const auto& out = bc_it->second->regular_output();
-          if (out.has_value()) {
-            try {
-              Reader r(*out);
-              if (r.boolean()) {
-                const FpVec vals = decode_values(r, num_secrets());
-                ok = static_cast<int>(vals.size()) == num_secrets();
-                for (int s = 0; ok && s < num_secrets(); ++s) {
-                  const Fp expect = dealer_point(s, speaker, about);
-                  if (vals[static_cast<std::size_t>(s)] != expect) ok = false;
-                }
-              }
-            } catch (const DecodeError&) {
-            }
-          }
+        const std::optional<FpVec> vals =
+            bc_it == it.conflict_bcs.end()
+                ? std::nullopt
+                : conflict_values(bc_it->second->regular_output(),
+                                  num_secrets());
+        bool ok = vals.has_value();
+        for (int s = 0; ok && s < num_secrets(); ++s) {
+          ok = (*vals)[static_cast<std::size_t>(s)] ==
+               dealer_point(s, speaker, about);
         }
         if (!ok) {
           if (z.contains(speaker)) {
@@ -439,69 +486,38 @@ void Wss::dealer_step8(Iteration& it) {
     }
   }
 
-  Writer w;
+  const PartySet qa = q.union_with(v).union_with(dealer_u_);  // Q ∪ V (∪ U)
   if (!w_set.empty()) {
     dealer_u_ = dealer_u_.union_with(w_set);
     clamp_dealer_u();
-    w.u64(kTagRestart);
-    w.u64(dealer_u_.mask());
+    it.dealer_step8->start(restart_decision(dealer_u_));
   } else if (stallers.empty() &&
-             q.union_with(v).union_with(dealer_u_).size() >=
-                 n() - ta()) {  // LINT:threshold(wss.clique_quorum)
-    // All conflicts resolved: Qa = Q ∪ V (∪ U).
-    const PartySet qa = q.union_with(v).union_with(dealer_u_);
-    const Graph g2 = build_report_graph(it, true);
-    w.u64(kTagSync);
-    g2.encode(w);
-    w.u64(qa.mask());
+             qa.size() >= n() - ta()) {  // LINT:threshold(wss.clique_quorum)
+    // All conflicts resolved.
+    it.dealer_step8->start(sync_decision(build_report_graph(it, true), qa));
   } else {
     // (restart, {φ}): silent cliquemates outside Z stall the expansion; the
     // dealer excludes them from the next clique (§7 discussion).
     dealer_blacklist_ = dealer_blacklist_.union_with(stallers);
-    w.u64(kTagRestart);
-    w.u64(dealer_u_.mask());
+    it.dealer_step8->start(restart_decision(dealer_u_));
   }
-  it.dealer_step8->start(std::move(w).take());
 }
 
 void Wss::dealer_check_async() {
   if (!i_am_dealer() || dealer_row0s_.empty() || dealer_async_sent_) return;
   NAMPC_PLOG(trace) << "dealer_check_async";
-  // Build the AOK graph A with the dealer's current U.
-  Graph a(n());
-  for (int i = 0; i < n(); ++i) {
-    for (int j = i + 1; j < n(); ++j) {
-      const bool iu = dealer_u_.contains(i);
-      const bool ju = dealer_u_.contains(j);
-      bool edge = false;
-      if (iu && ju) {
-        edge = true;
-      } else if (ju) {
-        edge = aok_edges_from_[i].contains(j);
-      } else if (iu) {
-        edge = aok_edges_from_[j].contains(i);
-      } else {
-        edge = aok_edges_from_[i].contains(j) && aok_edges_from_[j].contains(i);
-      }
-      if (edge) a.add_edge(i, j);
-    }
-  }
-  dealer_async_graph_ = a;
-  // Protocol 6.1 step 6 uses the Star algorithm as a fast detector; the
+  const Graph a = aok_graph(dealer_u_);
+  // Protocol 6.1 step 6 names the Star algorithm as a fast detector; the
   // binding object parties verify is an (n - ta)-clique (Protocol 6.2), so
-  // the dealer announces exactly that. Preference: a clique containing U,
-  // else any clique (a U member whose row never reached the others has no
-  // AOK edges and simply stays outside).
-  //
-  // Observable behaviour is clique-first: the star fallback requires
-  // star->f to itself be an (n - ta)-clique containing U, and the exact
-  // Bron-Kerbosch search already finds one whenever it exists — so the star
-  // only needs computing (and only matters as the paper's fast detector)
-  // when the clique search comes up empty.
+  // the dealer announces the clique an exact search finds. Preference: a
+  // clique containing U, else any clique (a U member whose row never
+  // reached the others has no AOK edges and simply stays outside). Star
+  // cannot add a clique: U is a clique of A and find_clique_including is
+  // exact, so when it finds nothing no (n - ta)-clique of A contains U.
   //
   // Degree gate: an (n - ta)-clique needs n - ta vertices of degree at
   // least n - ta - 1. Early AOK trickle fails this cheaply, skipping the
-  // exponential clique searches (and the star) entirely.
+  // exponential clique searches entirely.
   int rich = 0;
   for (int i = 0; i < n(); ++i) {
     // LINT:threshold(wss.degree_gate)
@@ -513,24 +529,6 @@ void Wss::dealer_check_async() {
   }
   // LINT:threshold(wss.clique_quorum)
   auto qa = find_clique_including(a, dealer_u_, n() - ta());
-  if (!qa.has_value()) {
-    // The AOK graph for a fixed U only ever gains edges; the incremental
-    // finder repairs its complement matching per arrival instead of
-    // rebuilding. A U change invalidates the edge semantics — reload.
-    if (!dealer_star_loaded_ || !(dealer_star_u_ == dealer_u_)) {
-      dealer_star_.load(a, ta());
-      dealer_star_u_ = dealer_u_;
-      dealer_star_loaded_ = true;
-    } else {
-      dealer_star_.sync_to(a);
-    }
-    const std::optional<StarResult> star = dealer_star_.find();
-    if (star.has_value() && star->extended && a.is_clique(star->f) &&
-        star->f.size() >= n() - ta() &&  // LINT:threshold(wss.clique_quorum)
-        dealer_u_.subset_of(star->f)) {
-      qa = star->f;
-    }
-  }
   if (!qa.has_value()) {
     const PartySet best = maximum_clique(a);
     // LINT:threshold(wss.clique_quorum)
@@ -580,8 +578,7 @@ void Wss::on_message(const Message& msg) {
     FpVec vals = decode_values(r, static_cast<std::size_t>(num_secrets()));
     if (static_cast<int>(vals.size()) != num_secrets()) return;
     peer_points_.emplace(msg.from, std::move(vals));
-    maybe_send_aok(msg.from);
-    if (accepted_ && reconstruct_armed_) try_reconstruct();
+    on_check_point(msg.from);
   }
 }
 
@@ -606,7 +603,7 @@ void Wss::start_inner_if_ready() {
   inner_[static_cast<std::size_t>(my_id())]->start(rows_);
 }
 
-void Wss::on_inner_output(int j) {
+void Wss::on_check_point(int j) {
   maybe_send_aok(j);
   if (accepted_ && reconstruct_armed_) try_reconstruct();
 }
@@ -620,12 +617,7 @@ void Wss::step_send_points() {
   points_sent_ = true;
   for (int j = 0; j < n(); ++j) {
     Writer w;
-    FpVec vals;
-    vals.reserve(static_cast<std::size_t>(num_secrets()));
-    for (int k = 0; k < num_secrets(); ++k) {
-      vals.push_back(row_point(k, j));
-    }
-    encode_values(w, vals);
+    encode_values(w, row_points_for(j));
     send(j, kPoint, std::move(w).take());
   }
 }
@@ -634,8 +626,7 @@ void Wss::on_pub_broadcast(Iteration& it, const std::optional<Words>& payload) {
   if (!payload.has_value()) return;
   try {
     Reader r(*payload);
-    const PartySet u{r.u64()};
-    if (!u.subset_of(PartySet::full(n()))) return;
+    const PartySet u = decode_party_set(r, n());
     if (z_conditioned()) {
       if (!u.subset_of(*options_.z)) {
         discarded_ = true;  // Protocol condition: U ⊄ Z discards the dealer
@@ -654,12 +645,7 @@ void Wss::on_pub_broadcast(Iteration& it, const std::optional<Words>& payload) {
     // Pairwise symmetry among the published rows (step 3 condition (d)).
     for (const auto& [a, rows_a] : pub) {
       for (const auto& [b, rows_b] : pub) {
-        for (int k = 0; k < num_secrets(); ++k) {
-          if (rows_a[static_cast<std::size_t>(k)].eval(eval_point(b)) !=
-              rows_b[static_cast<std::size_t>(k)].eval(eval_point(a))) {
-            return;
-          }
-        }
+        if (eval_rows(rows_a, b) != eval_rows(rows_b, a)) return;
       }
     }
     it.u = u;
@@ -686,10 +672,7 @@ void Wss::step_report(Iteration& it) {
   if (rows_ok && it.pub_valid) {
     for (int j = 0; j < n(); ++j) {
       REntry& e = rv[static_cast<std::size_t>(j)];
-      FpVec mine;
-      for (int k = 0; k < num_secrets(); ++k) {
-        mine.push_back(row_point(k, j));
-      }
+      FpVec mine = row_points_for(j);
       if (it.u.contains(j)) {
         e.tag = REntry::Tag::vals;
         e.vals = std::move(mine);
@@ -744,17 +727,9 @@ Graph Wss::build_report_graph(const Iteration& it,
         const int other = iu ? j : i;
         const REntry* e = entry(other, member);
         const auto pub = published_rows_.find(member);
-        if (e != nullptr && e->tag == REntry::Tag::vals &&
-            pub != published_rows_.end()) {
-          edge = true;
-          for (int k = 0; k < num_secrets(); ++k) {
-            if (e->vals[static_cast<std::size_t>(k)] !=
-                pub->second[static_cast<std::size_t>(k)].eval(
-                    eval_point(other))) {
-              edge = false;
-            }
-          }
-        }
+        edge = e != nullptr && e->tag == REntry::Tag::vals &&
+               pub != published_rows_.end() &&
+               e->vals == eval_rows(pub->second, other);
       } else {
         const REntry* eij = entry(i, j);
         const REntry* eji = entry(j, i);
@@ -771,30 +746,18 @@ Graph Wss::build_report_graph(const Iteration& it,
       if (speaker > about) continue;  // handle each unordered pair once
       const auto other_it = it.conflict_bcs.find({about, speaker});
       if (other_it == it.conflict_bcs.end()) continue;
-      const auto& o1 = bc->current_output();
-      const auto& o2 = other_it->second->current_output();
-      if (!o1.has_value() || !o2.has_value()) continue;
-      try {
-        Reader r1(*o1);
-        Reader r2(*o2);
-        if (!r1.boolean() || !r2.boolean()) continue;
-        const FpVec v1 = decode_values(r1, static_cast<std::size_t>(num_secrets()));
-        const FpVec v2 = decode_values(r2, static_cast<std::size_t>(num_secrets()));
-        if (v1.size() == v2.size() && v1 == v2 &&
-            static_cast<int>(v1.size()) == num_secrets() &&
-            !g.has_edge(speaker, about)) {
-          g.add_edge(speaker, about);
-        }
-      } catch (const DecodeError&) {
-      }
+      const auto v1 = conflict_values(bc->current_output(), num_secrets());
+      const auto v2 =
+          conflict_values(other_it->second->current_output(), num_secrets());
+      if (v1.has_value() && v1 == v2) g.add_edge(speaker, about);
     }
   }
   return g;
 }
 
-bool Wss::verify_sync_qa(Iteration& it, const Graph& g_payload, PartySet qa,
+bool Wss::verify_sync_qa(Iteration& it, PartySet qa,
                          bool with_conflict_edges) {
-  (void)g_payload;  // the binding check is against the locally built graph
+  // The binding check is against the locally built graph, not the dealer's.
   if (!it.pub_valid) return false;
   // LINT:threshold(wss.clique_quorum)
   if (qa.size() < n() - ta()) return false;
@@ -803,37 +766,47 @@ bool Wss::verify_sync_qa(Iteration& it, const Graph& g_payload, PartySet qa,
   return gi.is_clique(qa);
 }
 
-void Wss::step_handle_dealer5(Iteration& it) {
-  NAMPC_PLOG(trace) << "handle_d5 it=" << it.index << " out="
-                    << it.dealer_step5->current_output().has_value();
-  if (accepted_ || discarded_) return;
-  // Parse all report vectors as visible now (regular outputs by 2T_BC).
+void Wss::parse_reports(Iteration& it) {
   for (int j = 0; j < n(); ++j) {
     it.r_vectors[static_cast<std::size_t>(j)] = parse_report(
         it.reports[static_cast<std::size_t>(j)]->current_output(), n(),
         num_secrets());
   }
+}
+
+bool Wss::on_sync_or_restart(Iteration& it, std::uint64_t tag, Reader& r,
+                             bool with_conflict_edges) {
+  if (tag == kTagSync) {
+    (void)Graph::decode(r);  // shape check only; see verify_sync_qa
+    const PartySet qa = decode_party_set(r, n());
+    it.pending_sync_qa = qa;  // candidate; may verify later via fallback
+    return verify_sync_qa(it, qa, with_conflict_edges);
+  }
+  if (tag == kTagRestart) {
+    const PartySet u = decode_party_set(r, n());
+    if (z_conditioned() && !u.subset_of(*options_.z)) discarded_ = true;
+  }
+  return false;
+}
+
+void Wss::step_handle_dealer5(Iteration& it) {
+  NAMPC_PLOG(trace) << "handle_d5 it=" << it.index << " out="
+                    << it.dealer_step5->current_output().has_value();
+  if (accepted_ || discarded_) return;
+  // Parse all report vectors as visible now (regular outputs by 2T_BC).
+  parse_reports(it);
   const auto& out = it.dealer_step5->current_output();
   bool b = false;
   if (out.has_value()) {
     try {
       Reader r(*out);
       const std::uint64_t tag = r.u64();
-      if (tag == kTagSync) {
-        Graph g = Graph::decode(r);
-        const PartySet qa{r.u64()};
-        it.pending_sync_qa = qa;  // candidate; may verify later via fallback
-        it.pending_sync_g = std::move(g);
-        b = verify_sync_qa(it, it.pending_sync_g, qa, false);
-      } else if (tag == kTagRestart) {
-        const PartySet u{r.u64()};
-        if (z_conditioned() && !u.subset_of(*options_.z)) {
-          discarded_ = true;
-        }
-      } else if (tag == kTagContinue) {
-        const PartySet q{r.u64()};
-        Graph g = Graph::decode(r);
-        const PartySet v{r.u64()};
+      if (tag != kTagContinue) {
+        b = on_sync_or_restart(it, tag, r, false);
+      } else {
+        const PartySet q = decode_party_set(r, n());
+        (void)Graph::decode(r);  // shape check only; parties build their own
+        const PartySet v = decode_party_set(r, n());
         // Validate Q, G, V (step 7c).
         const Graph gi = build_report_graph(it, false);
         const bool q_ok =
@@ -846,11 +819,7 @@ void Wss::step_handle_dealer5(Iteration& it) {
             v.intersect(q.union_with(it.u)).empty() &&
             (!z_conditioned() || v.subset_of(*options_.z));
         if (z_conditioned() && !v.subset_of(*options_.z)) discarded_ = true;
-        if (q_ok && v_ok) {
-          it.continue_q = q;
-          it.continue_v = v;
-          it.continue_g = std::move(gi);
-        }
+        if (q_ok && v_ok) it.expansion = Iteration::Expansion{q, v, gi};
       }
     } catch (const DecodeError&) {
     }
@@ -868,15 +837,8 @@ void Wss::step_handle_dealer5(Iteration& it) {
   }
   // BA said 0: a late (restart, U) still triggers the rerun (needed in the
   // asynchronous network, where the regular-mode output may have been ⊥).
-  if (out.has_value() && !discarded_) {
-    try {
-      Reader r(*out);
-      if (r.u64() == kTagRestart) {
-        schedule_restart(it, it.start + 3 * timing().t_bc +
-                                 options_.check_extra + timing().t_ba);
-      }
-    } catch (const DecodeError&) {
-    }
+  if (!discarded_ && says_restart(*it.dealer_step5)) {
+    schedule_restart(it, conflict_start(it));
   }
 }
 
@@ -887,7 +849,7 @@ void Wss::retry_pending_accept(Iteration& it) {
   if (!ba_said_yes || !it.pending_sync_qa.has_value()) return;
   // Conflict-resolution edges only ever add consistency-certified pairs, so
   // verifying with them included is sound at either decision point.
-  if (verify_sync_qa(it, it.pending_sync_g, *it.pending_sync_qa, true)) {
+  if (verify_sync_qa(it, *it.pending_sync_qa, true)) {
     accept_qa(*it.pending_sync_qa, it.u, it.index, true);
   }
 }
@@ -896,39 +858,29 @@ void Wss::on_ba1(Iteration& it, bool v) {
   it.ba1_done = true;
   it.ba1_value = v;
   if (accepted_ || discarded_) return;
-  const Time nominal =
-      it.start + 3 * timing().t_bc + options_.check_extra + timing().t_ba;
   if (v) {
     retry_pending_accept(it);
     // If verification is still failing, fallback updates will retry.
     return;
   }
-  const auto& out = it.dealer_step5->current_output();
-  if (out.has_value()) {
-    try {
-      Reader r(*out);
-      const std::uint64_t tag = r.u64();
-      if (tag == kTagRestart) {
-        schedule_restart(it, nominal);
-        return;
-      }
-    } catch (const DecodeError&) {
-    }
+  if (says_restart(*it.dealer_step5)) {
+    schedule_restart(it, conflict_start(it));
+    return;
   }
-  if (it.continue_q.has_value()) {
-    at(std::max(now(), nominal), [this, &it] { start_conflict_broadcasts(it); });
+  if (it.expansion.has_value()) {
+    at(std::max(now(), conflict_start(it)),
+       [this, &it] { start_conflict_broadcasts(it); });
   }
   // Otherwise: ⊥ / invalid — wait for the asynchronous exit.
 }
 
 void Wss::start_conflict_broadcasts(Iteration& it) {
   if (it.conflicts_started || accepted_ || discarded_) return;
-  if (!it.continue_q.has_value() || !it.continue_v.has_value()) return;
+  if (!it.expansion.has_value()) return;
   it.conflicts_started = true;
-  const Time nominal =
-      it.start + 3 * timing().t_bc + options_.check_extra + timing().t_ba;
-  const Graph& g = it.continue_g;
-  for (int j : it.continue_v->to_vector()) {
+  const Time nominal = conflict_start(it);
+  const Graph& g = it.expansion->g;
+  for (int j : it.expansion->v.to_vector()) {
     for (int k = 0; k < n(); ++k) {
       if (k == j || g.has_edge(j, k)) continue;
       for (const auto& [speaker, about] :
@@ -946,22 +898,16 @@ void Wss::start_conflict_broadcasts(Iteration& it) {
           Writer w;
           const bool have = have_rows_ && it.rows_by_delta;
           w.boolean(have);
-          FpVec vals;
-          if (have) {
-            for (int s = 0; s < num_secrets(); ++s) {
-              vals.push_back(row_point(s, about));
-            }
-          }
-          encode_values(w, vals);
+          encode_values(w, have ? row_points_for(about) : FpVec{});
           bc->start(std::move(w).take());
-          if (it.continue_v->contains(my_id())) note_revealed(my_id());
+          if (it.expansion->v.contains(my_id())) note_revealed(my_id());
         }
       }
     }
   }
   // The conflict phase reveals the rows of V members (points against every
   // unresolved partner) — record for the privacy audit.
-  for (int member : it.continue_v->to_vector()) note_revealed(member);
+  for (int member : it.expansion->v.to_vector()) note_revealed(member);
 }
 
 void Wss::note_revealed(int member) {
@@ -983,18 +929,7 @@ void Wss::step_handle_dealer8(Iteration& it) {
     try {
       Reader r(*out);
       const std::uint64_t tag = r.u64();
-      if (tag == kTagSync) {
-        Graph g = Graph::decode(r);
-        const PartySet qa{r.u64()};
-        it.pending_sync_qa = qa;
-        it.pending_sync_g = std::move(g);
-        b = verify_sync_qa(it, it.pending_sync_g, qa, true);
-      } else if (tag == kTagRestart) {
-        const PartySet u{r.u64()};
-        if (z_conditioned() && !u.subset_of(*options_.z)) {
-          discarded_ = true;
-        }
-      }
+      b = on_sync_or_restart(it, tag, r, true);
     } catch (const DecodeError&) {
     }
   }
@@ -1006,14 +941,8 @@ void Wss::step_handle_dealer8(Iteration& it) {
     retry_pending_accept(it);
     return;
   }
-  if (out.has_value() && !discarded_) {
-    try {
-      Reader r(*out);
-      if (r.u64() == kTagRestart) {
-        schedule_restart(it, it.start + iteration_length());
-      }
-    } catch (const DecodeError&) {
-    }
+  if (!discarded_ && says_restart(*it.dealer_step8)) {
+    schedule_restart(it, it.start + iteration_length());
   }
 }
 
@@ -1021,21 +950,13 @@ void Wss::on_ba2(Iteration& it, bool v) {
   it.ba2_done = true;
   it.ba2_value = v;
   if (accepted_ || discarded_) return;
-  const Time nominal = it.start + iteration_length();
   if (v) {
     retry_pending_accept(it);
     return;
   }
-  const auto& out = it.dealer_step8->current_output();
-  if (out.has_value()) {
-    try {
-      Reader r(*out);
-      if (r.u64() == kTagRestart) {
-        schedule_restart(it, nominal);
-        return;
-      }
-    } catch (const DecodeError&) {
-    }
+  if (says_restart(*it.dealer_step8)) {
+    schedule_restart(it, it.start + iteration_length());
+    return;
   }
   // ⊥ or rejected sync: wait for the asynchronous exit.
 }
@@ -1045,30 +966,19 @@ void Wss::on_ba2(Iteration& it, bool v) {
 void Wss::maybe_send_aok(int j) {
   NAMPC_PLOG(trace) << "maybe_aok j=" << j << " have_rows=" << have_rows_;
   if (!have_rows_ || j == my_id() || aok_sent_.contains(j)) return;
-  FpVec mine;
-  for (int k = 0; k < num_secrets(); ++k) {
-    mine.push_back(row_point(k, j));
-  }
+  const FpVec mine = row_points_for(j);
   bool consistent = false;
   if (u_known_.contains(j)) {
     const auto pub = published_rows_.find(j);
-    if (pub != published_rows_.end()) {
-      consistent = true;
-      for (int k = 0; k < num_secrets(); ++k) {
-        if (pub->second[static_cast<std::size_t>(k)].eval(eval_point(my_id())) !=
-            mine[static_cast<std::size_t>(k)]) {
-          consistent = false;
-        }
-      }
-    }
+    consistent = pub != published_rows_.end() &&
+                 eval_rows(pub->second, my_id()) == mine;
   } else {
     const auto p = check_point_from(j);
     consistent = p.has_value() && *p == mine;
   }
   if (!consistent) return;
   aok_sent_.insert(j);
-  aok_[static_cast<std::size_t>(my_id())][static_cast<std::size_t>(j)]->start(
-      Words{});
+  my_aoks_[static_cast<std::size_t>(j)]->start(Words{});
 }
 
 void Wss::on_aok(int i, int j) {
@@ -1077,14 +987,36 @@ void Wss::on_aok(int i, int j) {
   try_accept_async();
 }
 
+Graph Wss::aok_graph(PartySet u) const {
+  Graph a(n());
+  for (int i = 0; i < n(); ++i) {
+    for (int j = i + 1; j < n(); ++j) {
+      const bool iu = u.contains(i);
+      const bool ju = u.contains(j);
+      bool edge = false;
+      if (iu && ju) {
+        edge = true;
+      } else if (ju) {
+        edge = aok_edges_from_[i].contains(j);
+      } else if (iu) {
+        edge = aok_edges_from_[j].contains(i);
+      } else {
+        edge = aok_edges_from_[i].contains(j) && aok_edges_from_[j].contains(i);
+      }
+      if (edge) a.add_edge(i, j);
+    }
+  }
+  return a;
+}
+
 void Wss::try_accept_async() {
   NAMPC_PLOG(trace) << "try_accept_async accepted=" << accepted_
-                   << " cand=" << async_candidate_.has_value();
-  if (accepted_ || discarded_ || !async_candidate_.has_value()) return;
+                   << " cand=" << async_qa_.has_value();
+  if (accepted_ || discarded_ || !async_qa_.has_value()) return;
   const Time gate =
       nominal_start_ + options_.max_iterations(params()) * iteration_length();
   if (now() < gate) return;  // the gate timer will retry
-  const PartySet qa = async_candidate_->second;
+  const PartySet qa = *async_qa_;
   const PartySet u = async_u_;
   NAMPC_PLOG(trace) << "async qa=" << qa.str() << " u=" << u.str()
                     << " gate passed";
@@ -1101,26 +1033,8 @@ void Wss::try_accept_async() {
   for (int member : u.to_vector()) {
     if (published_rows_.count(member) == 0) return;
   }
-  // Build my AOK graph A_i with the candidate's U and check the clique.
-  Graph ai(n());
-  for (int i = 0; i < n(); ++i) {
-    for (int j = i + 1; j < n(); ++j) {
-      const bool iu = u.contains(i);
-      const bool ju = u.contains(j);
-      bool edge = false;
-      if (iu && ju) {
-        edge = true;
-      } else if (ju) {
-        edge = aok_edges_from_[i].contains(j);
-      } else if (iu) {
-        edge = aok_edges_from_[j].contains(i);
-      } else {
-        edge = aok_edges_from_[i].contains(j) && aok_edges_from_[j].contains(i);
-      }
-      if (edge) ai.add_edge(i, j);
-    }
-  }
-  if (!ai.is_clique(qa)) {
+  // My AOK graph A_i with the candidate's U must contain the clique.
+  if (!aok_graph(u).is_clique(qa)) {
     NAMPC_PLOG(trace) << "qa not clique in A_i yet";
     return;  // keep updating A_i as AOKs arrive
   }
@@ -1140,7 +1054,6 @@ void Wss::accept_qa(PartySet qa, PartySet u, int iteration_index,
   accepted_u_ = u;
   accepted_iteration_ = iteration_index;
   accepted_via_sync_ = via_sync;
-  accept_time_ = now();
 
   const bool in_qa = qa.contains(my_id());
   if (in_qa && (have_rows_ || published_rows_.count(my_id()) != 0)) {
@@ -1181,23 +1094,18 @@ void Wss::try_reconstruct() {
     int count = 0;
     for (int j : accepted_qa_.to_vector()) {
       if (j == my_id()) continue;
-      if (accepted_u_.contains(j)) {
-        const auto pub = published_rows_.find(j);
-        if (pub == published_rows_.end()) continue;
-        ++count;
-        for (int k = 0; k < num_secrets(); ++k) {
-          pts[static_cast<std::size_t>(k)].push_back(
-              {eval_point(j), pub->second[static_cast<std::size_t>(k)].eval(
-                                  eval_point(my_id()))});
-        }
-        continue;
+      std::optional<FpVec> vals;
+      if (!accepted_u_.contains(j)) {
+        vals = check_point_from(j);
+      } else if (const auto pub = published_rows_.find(j);
+                 pub != published_rows_.end()) {
+        vals = eval_rows(pub->second, my_id());
       }
-      const auto p = check_point_from(j);
-      if (!p.has_value()) continue;
+      if (!vals.has_value()) continue;
       ++count;
       for (int k = 0; k < num_secrets(); ++k) {
         pts[static_cast<std::size_t>(k)].push_back(
-            {eval_point(j), (*p)[static_cast<std::size_t>(k)]});
+            {eval_point(j), (*vals)[static_cast<std::size_t>(k)]});
       }
     }
     // LINT:threshold(vss.inner_quorum)
@@ -1217,25 +1125,21 @@ void Wss::try_reconstruct() {
   std::vector<std::vector<RsPoint>> pts(
       static_cast<std::size_t>(num_secrets()));
   std::vector<PartyId> senders;
-  for (int u : accepted_u_.to_vector()) {
-    const auto pub = published_rows_.find(u);
-    if (pub == published_rows_.end()) continue;
-    senders.push_back(u);
+  auto add = [&](int j, const FpVec& vals) {
+    senders.push_back(j);
     for (int k = 0; k < num_secrets(); ++k) {
       pts[static_cast<std::size_t>(k)].push_back(
-          {eval_point(u),
-           pub->second[static_cast<std::size_t>(k)].eval(eval_point(my_id()))});
+          {eval_point(j), vals[static_cast<std::size_t>(k)]});
     }
+  };
+  for (int u : accepted_u_.to_vector()) {
+    const auto pub = published_rows_.find(u);
+    if (pub != published_rows_.end()) add(u, eval_rows(pub->second, my_id()));
   }
   for (int j : accepted_qa_.minus(accepted_u_).to_vector()) {
     if (j == my_id()) continue;
     const auto p = peer_points_.find(j);
-    if (p == peer_points_.end()) continue;
-    senders.push_back(j);
-    for (int k = 0; k < num_secrets(); ++k) {
-      pts[static_cast<std::size_t>(k)].push_back(
-          {eval_point(j), p->second[static_cast<std::size_t>(k)]});
-    }
+    if (p != peer_points_.end()) add(j, p->second);
   }
   const int m = static_cast<int>(senders.size());
   // LINT:threshold(rs.schedule_min)
@@ -1243,20 +1147,8 @@ void Wss::try_reconstruct() {
   // LINT:threshold(rs.schedule_min)
   const int x = m - (ts() + ta() + 1);
 
-  std::vector<Polynomial> decoded;
-  bool all_ok = true;
-  for (int k = 0; k < num_secrets(); ++k) {
-    metrics().rs_decodes++;
-    const auto res = rs_decode_scheduled(pts[static_cast<std::size_t>(k)],
-                                         ts(), ta());
-    if (res.result.status != RsStatus::ok) {
-      all_ok = false;
-      break;
-    }
-    decoded.push_back(res.result.poly);
-  }
-  if (all_ok) {
-    decide_output(WssOutcome::rows, std::move(decoded));
+  if (auto decoded = decode_rows(pts, ts(), ta(), metrics())) {
+    decide_output(WssOutcome::rows, std::move(*decoded));
     return;
   }
   // Fallback: a corrupt dealer may have published bad rows for U, burning
@@ -1265,24 +1157,14 @@ void Wss::try_reconstruct() {
   const int m_no_u = m - accepted_u_.size();
   // LINT:threshold(rs.schedule_min)
   if (m_no_u >= ts() + ta() + 1) {
-    std::vector<Polynomial> decoded2;
-    bool ok2 = true;
-    for (int k = 0; k < num_secrets(); ++k) {
-      std::vector<RsPoint> sub;
+    std::vector<std::vector<RsPoint>> sub(pts.size());
+    for (std::size_t k = 0; k < pts.size(); ++k) {
       for (std::size_t idx = 0; idx < senders.size(); ++idx) {
-        if (accepted_u_.contains(senders[idx])) continue;
-        sub.push_back(pts[static_cast<std::size_t>(k)][idx]);
+        if (!accepted_u_.contains(senders[idx])) sub[k].push_back(pts[k][idx]);
       }
-      metrics().rs_decodes++;
-      const auto res = rs_decode_scheduled(sub, ts(), ta());
-      if (res.result.status != RsStatus::ok) {
-        ok2 = false;
-        break;
-      }
-      decoded2.push_back(res.result.poly);
     }
-    if (ok2) {
-      decide_output(WssOutcome::rows, std::move(decoded2));
+    if (auto decoded = decode_rows(sub, ts(), ta(), metrics())) {
+      decide_output(WssOutcome::rows, std::move(*decoded));
       return;
     }
   }
@@ -1306,10 +1188,7 @@ void Wss::try_reconstruct() {
       const auto& rv = it.r_vectors[static_cast<std::size_t>(j)];
       const REntry* e =
           rv.empty() ? nullptr : &rv[static_cast<std::size_t>(my_id())];
-      FpVec mine;
-      for (int k = 0; k < num_secrets(); ++k) {
-        mine.push_back(row_point(k, j));
-      }
+      const FpVec mine = row_points_for(j);
       // (b) a clique member accused me with a value different from our true
       // common point: the dealer admitted an inconsistent party — ⊥.
       if (e != nullptr && e->tag == REntry::Tag::vals && e->vals != mine) {

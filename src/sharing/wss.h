@@ -17,7 +17,7 @@
 //   S+4T_BC+T_BA   dealer: clique expansion or restart
 //   S+5T_BC+T_BA   parties: verify, Π_BA #2
 // In parallel, the action-based asynchronous path runs: AOK Acasts,
-// dealer-side Star/clique detection on the AOK graph A, (async, A, Qa).
+// dealer-side exact clique search on the AOK graph A, (async, A, Qa).
 //
 // Z-conditioning (for use inside Π_VSS, §6 end / §7): when `z` is set, the
 // dealer keeps U, V, W ⊆ Z and silent cliquemates outside Z force a
@@ -35,7 +35,6 @@
 #include "broadcast/bc.h"
 #include "field/fp_soa.h"
 #include "graph/graph.h"
-#include "graph/star_incremental.h"
 #include "net/simulation.h"
 #include "poly/bivariate.h"
 #include "sharing/encoding.h"
@@ -48,9 +47,8 @@ struct WssOptions {
   std::optional<PartySet> z;
   /// Π_VSS mode (Protocol 7.1): pairwise checks run through inner Π_WSS
   /// instances instead of direct point exchange, and every step after the
-  /// exchange shifts by `check_extra` (= T'_WSS).
+  /// exchange shifts by T'_WSS, the time those instances take.
   bool inner_check = false;
-  Time check_extra = 0;
 
   [[nodiscard]] int max_iterations(const ProtocolParams& p) const {
     // LINT:threshold(wss.iterations)
@@ -119,14 +117,17 @@ class Wss : public ProtocolInstance {
     PartySet u;                          // U from the pub broadcast
     bool pub_valid = false;
     std::vector<RVector> r_vectors;      // parsed R_j (empty = ⊥/missing)
-    std::optional<PartySet> continue_q;  // from a valid continue
-    std::optional<PartySet> continue_v;
-    Graph continue_g;
+    // A valid (continue, Q, G, V) of step 5, which steps 7-9 expand.
+    struct Expansion {
+      PartySet q;
+      PartySet v;
+      Graph g;                           // my report graph that admitted Q
+    };
+    std::optional<Expansion> expansion;
     std::map<std::pair<int, int>, Bc*> conflict_bcs;  // (speaker, about)
     bool conflicts_started = false;
     bool rows_by_delta = false;          // dealer rows arrived by S+Δ
     std::optional<PartySet> pending_sync_qa;  // accepted after BA said 1
-    Graph pending_sync_g;
     bool ba1_value = false;
     bool ba2_value = false;
     bool ba1_done = false;
@@ -139,15 +140,26 @@ class Wss : public ProtocolInstance {
   [[nodiscard]] int num_secrets() const { return options_.num_secrets; }
   [[nodiscard]] bool z_conditioned() const { return options_.z.has_value(); }
   [[nodiscard]] bool i_am_dealer() const { return my_id() == dealer_; }
+  /// How far every step after the pairwise exchange shifts: T'_WSS in
+  /// inner-check (VSS) mode, else 0.
+  [[nodiscard]] Time check_shift() const {
+    return options_.inner_check ? timing().t_wss_z : 0;
+  }
   /// One iteration: 5*T_BC + 2*T_BA, plus T'_WSS in inner-check (VSS) mode.
   [[nodiscard]] Time iteration_length() const {
-    return timing().wss_iter + options_.check_extra;
+    return timing().wss_iter + check_shift();
+  }
+  /// Nominal start of the conflict phase (steps 7-8): S + 3T_BC + T_BA,
+  /// shifted by check_shift().
+  [[nodiscard]] Time conflict_start(const Iteration& it) const {
+    return it.start + 3 * timing().t_bc + check_shift() + timing().t_ba;
   }
   /// The pairwise check value this party holds for peer j (one per secret):
   /// the directly exchanged point, or the inner-WSS output share.
   [[nodiscard]] std::optional<FpVec> check_point_from(int j) const;
   void start_inner_if_ready();
-  void on_inner_output(int j);
+  /// Peer j's check value arrived: a direct point, or its inner-WSS output.
+  void on_check_point(int j);
 
   void begin_iteration(Time start_time);
 
@@ -155,6 +167,13 @@ class Wss : public ProtocolInstance {
   void step_send_points();
   void step_report(Iteration& it);
   void on_pub_broadcast(Iteration& it, const std::optional<Words>& payload);
+  /// Parses every report broadcast as visible now into it.r_vectors.
+  void parse_reports(Iteration& it);
+  /// Steps 5 and 8: handles a dealer's (sync, G, Q_a) or (restart, U) read
+  /// from `r` after its `tag`. A sync Q_a becomes the iteration's pending
+  /// candidate; returns whether it verifies now.
+  bool on_sync_or_restart(Iteration& it, std::uint64_t tag, Reader& r,
+                          bool with_conflict_edges);
   void step_handle_dealer5(Iteration& it);
   void start_conflict_broadcasts(Iteration& it);
   void step_handle_dealer8(Iteration& it);
@@ -166,8 +185,12 @@ class Wss : public ProtocolInstance {
   // Graph construction from broadcast state (shared with verification).
   [[nodiscard]] Graph build_report_graph(const Iteration& it,
                                          bool with_conflict_edges) const;
-  [[nodiscard]] bool verify_sync_qa(Iteration& it, const Graph& g,
-                                    PartySet qa, bool with_conflict_edges);
+  [[nodiscard]] bool verify_sync_qa(Iteration& it, PartySet qa,
+                                    bool with_conflict_edges);
+  /// The AOK graph A for a given U: U is a clique, a U member is joined to
+  /// every party that AOK'd it, and two others are joined when both AOK'd
+  /// each other.
+  [[nodiscard]] Graph aok_graph(PartySet u) const;
 
   // Dealer-side steps.
   void clamp_dealer_u();
@@ -193,9 +216,10 @@ class Wss : public ProtocolInstance {
 
   // Scaling caches (exact field arithmetic makes every cached value
   // bit-identical to the on-demand evaluation it replaces).
-  /// My row k evaluated at party j's point: rows_[k](α_{j+1}), served from
-  /// the row_points_ grid (valid once have_rows_).
-  [[nodiscard]] Fp row_point(int k, int j) const;
+  /// My rows evaluated at party j's point, one per secret:
+  /// rows_[k](α_{j+1}), served from the row_points_ grid (valid once
+  /// have_rows_).
+  [[nodiscard]] FpVec row_points_for(int j) const;
   /// Dealer-side: rows of party j across all secrets.
   [[nodiscard]] std::vector<Polynomial> dealer_rows_for(int j) const;
   /// Dealer-side committed point F_k(α_at, α_owner) = row_owner^k(α_at) —
@@ -212,15 +236,11 @@ class Wss : public ProtocolInstance {
   PartySet dealer_u_;                     // U, grows across iterations
   PartySet dealer_blacklist_;             // silent non-Z cliquemates
   bool dealer_async_sent_ = false;
-  Graph dealer_async_graph_;
   // Scaling caches, dealer side (filled in start()):
   // dealer_rows_[k][j] = bivariates_[k].row_for_party(j);
   // dealer_points_[k].at(i, j) = row_i^k(α_{j+1}) = F_k(α_{j+1}, α_{i+1}).
   std::vector<std::vector<Polynomial>> dealer_rows_;
   std::vector<FpGrid> dealer_points_;
-  StarFinder dealer_star_;    // incremental matching over the AOK graph
-  PartySet dealer_star_u_;    // U snapshot the finder was loaded with
-  bool dealer_star_loaded_ = false;
 
   // Party state.
   std::vector<std::unique_ptr<Iteration>> iterations_;
@@ -230,16 +250,15 @@ class Wss : public ProtocolInstance {
   Time rows_time_ = -1;
   bool points_sent_ = false;
   std::map<PartyId, FpVec> peer_points_;       // pairwise points received
-  std::map<PartyId, FpVec> share_points_;      // 6.2 points from Q_a members
   std::map<PartyId, std::vector<Polynomial>> published_rows_;
   PartySet u_known_;                           // latest public U
   std::vector<Wss*> inner_;                    // inner-check mode instances
   bool inner_started_ = false;
   PartySet aok_sent_;                          // AOKs this party Acast
-  std::vector<std::vector<Acast*>> aok_;       // aok_[i][j]: AOK_j by P_i
+  std::vector<Acast*> my_aoks_;                // my_aoks_[j]: my AOK_j
   std::vector<PartySet> aok_edges_from_;       // received AOK_i->j
   Acast* async_bcast_ = nullptr;               // dealer's (async, A, Qa)
-  std::optional<std::pair<Graph, PartySet>> async_candidate_;
+  std::optional<PartySet> async_qa_;           // Q_a of (async, A, Qa)
   PartySet async_u_;
   bool discarded_ = false;
 
@@ -249,7 +268,6 @@ class Wss : public ProtocolInstance {
   PartySet accepted_u_;
   int accepted_iteration_ = -1;
   bool accepted_via_sync_ = false;
-  Time accept_time_ = -1;
   bool reconstruct_armed_ = false;
 
   WssOutcome outcome_ = WssOutcome::none;

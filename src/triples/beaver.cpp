@@ -1,6 +1,19 @@
 #include "triples/beaver.h"
 
+#include "field/fp_batch.h"
+#include "poly/interp_cache.h"
+
 namespace nampc {
+
+Fp extrapolate(const FpVec& pts, Fp at) {
+  FpVec xs;
+  xs.reserve(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    xs.push_back(Fp(static_cast<std::uint64_t>(i) + 1));
+  }
+  const FpVec& coeffs = lagrange_coefficients_cached(xs, at);
+  return fp_dot(coeffs.data(), pts.data(), pts.size());
+}
 
 Beaver::Beaver(Party& party, std::string key, int width, OutputFn on_output)
     : ProtocolInstance(party, std::move(key)),

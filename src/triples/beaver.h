@@ -22,6 +22,11 @@ struct TripleShares {
   [[nodiscard]] std::size_t size() const { return a.size(); }
 };
 
+/// This party's share of [P(at)] for the polynomial P through the points
+/// (1..count, pts): the linear map by which Π_VTS and Π_tripleExt turn
+/// shared triples into shared points of X, Y and Z.
+[[nodiscard]] Fp extrapolate(const FpVec& pts, Fp at);
+
 class Beaver : public ProtocolInstance {
  public:
   /// Delivers this party's shares of [z_l] = [x_l * y_l].

@@ -1,23 +1,6 @@
 #include "triples/triple_ext.h"
 
-#include "field/fp_batch.h"
-#include "poly/interp_cache.h"
-#include "poly/polynomial.h"
-
 namespace nampc {
-
-namespace {
-/// Share of the degree-(count-1) polynomial through (1..count, pts) at `at`.
-Fp extrapolate(const FpVec& pts, Fp at) {
-  FpVec xs;
-  xs.reserve(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    xs.push_back(Fp(static_cast<std::uint64_t>(i) + 1));
-  }
-  const FpVec& coeffs = lagrange_coefficients_cached(xs, at);
-  return fp_dot(coeffs.data(), pts.data(), pts.size());
-}
-}  // namespace
 
 TripleExt::TripleExt(Party& party, std::string key, int num_dealers,
                      int width, OutputFn on_output)

@@ -1,6 +1,5 @@
 #include "triples/vts.h"
 
-#include "field/fp_batch.h"
 #include "poly/interp_cache.h"
 #include "triples/recon.h"
 
@@ -52,8 +51,8 @@ Vts::Vts(Party& party, std::string key, PartyId dealer, Time nominal_start,
         if (!m.has_value() || dealer_ok_.has_value()) return;
         try {
           Reader r(*m);
-          const PartySet ok{r.u64()};
-          const PartySet nok{r.u64()};
+          const PartySet ok = decode_party_set(r, n());
+          const PartySet nok = decode_party_set(r, n());
           // Validity: disjoint, enough OKs, enough coverage, NOK small
           // enough to preserve privacy (<= ts - ta public reconstructions).
           if (!ok.intersect(nok).empty()) return;
@@ -133,14 +132,33 @@ void Vts::start(bool sabotage) {
 
 void Vts::on_message(const Message& msg) { (void)msg; }
 
-Fp Vts::extrapolate(const FpVec& pts, Fp at) const {
-  FpVec xs;
-  xs.reserve(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    xs.push_back(Fp(static_cast<std::uint64_t>(i) + 1));
+FpVec Vts::xyz_at(Fp at) const {
+  FpVec xyz;
+  xyz.reserve(static_cast<std::size_t>(3 * num_triples_));
+  for (int l = 0; l < num_triples_; ++l) {
+    FpVec xa, yb, zc;
+    for (int i = 0; i < ts() + 1; ++i) {
+      xa.push_back(shares_[idx(l, i, 0)]);
+      yb.push_back(shares_[idx(l, i, 1)]);
+    }
+    for (int i = 0; i < 2 * ts() + 1; ++i) {
+      zc.push_back(zx_[static_cast<std::size_t>(l * (2 * ts() + 1) + i)]);
+    }
+    xyz.push_back(extrapolate(xa, at));
+    xyz.push_back(extrapolate(yb, at));
+    xyz.push_back(extrapolate(zc, at));
   }
-  const FpVec& coeffs = lagrange_coefficients_cached(xs, at);
-  return fp_dot(coeffs.data(), pts.data(), pts.size());
+  return xyz;
+}
+
+bool Vts::all_multiply(const FpVec& xyz) const {
+  for (int l = 0; l < num_triples_; ++l) {
+    const Fp x = xyz[static_cast<std::size_t>(3 * l)];
+    const Fp y = xyz[static_cast<std::size_t>(3 * l + 1)];
+    const Fp z = xyz[static_cast<std::size_t>(3 * l + 2)];
+    if (x * y != z) return false;
+  }
+  return true;
 }
 
 void Vts::on_vss_output() {
@@ -208,36 +226,14 @@ void Vts::phase_verify() {
         [this, p](const FpVec& xyz) {
           if (p == my_id()) on_my_points(xyz);
         });
-    const Fp at = eval_point(p);
-    FpVec mine;
-    mine.reserve(static_cast<std::size_t>(3 * num_triples_));
-    for (int l = 0; l < num_triples_; ++l) {
-      FpVec xa, yb, zc;
-      for (int i = 0; i < ts() + 1; ++i) {
-        xa.push_back(shares_[idx(l, i, 0)]);
-        yb.push_back(shares_[idx(l, i, 1)]);
-      }
-      for (int i = 0; i < 2 * ts() + 1; ++i) {
-        zc.push_back(zx_[static_cast<std::size_t>(l * (2 * ts() + 1) + i)]);
-      }
-      mine.push_back(extrapolate(xa, at));
-      mine.push_back(extrapolate(yb, at));
-      mine.push_back(extrapolate(zc, at));
-    }
-    pr.start(mine);
+    pr.start(xyz_at(eval_point(p)));
   }
 }
 
 void Vts::on_my_points(const FpVec& xyz) {
   if (verified_sent_) return;
   verified_sent_ = true;
-  my_check_ok_ = true;
-  for (int l = 0; l < num_triples_; ++l) {
-    const Fp x = xyz[static_cast<std::size_t>(3 * l)];
-    const Fp y = xyz[static_cast<std::size_t>(3 * l + 1)];
-    const Fp z = xyz[static_cast<std::size_t>(3 * l + 2)];
-    if (x * y != z) my_check_ok_ = false;
-  }
+  my_check_ok_ = all_multiply(xyz);
   Writer w;
   w.boolean(my_check_ok_);
   ok_bcs_[static_cast<std::size_t>(my_id())]->start(std::move(w).take());
@@ -276,33 +272,13 @@ void Vts::request_open(int i) {
 void Vts::contribute_to_open(int i) {
   if (zx_.empty() || opens_contributed_.contains(i)) return;
   opens_contributed_.insert(i);
-  const Fp at = eval_point(i);
-  FpVec mine;
-  for (int l = 0; l < num_triples_; ++l) {
-    FpVec xa, yb, zc;
-    for (int j = 0; j < ts() + 1; ++j) {
-      xa.push_back(shares_[idx(l, j, 0)]);
-      yb.push_back(shares_[idx(l, j, 1)]);
-    }
-    for (int j = 0; j < 2 * ts() + 1; ++j) {
-      zc.push_back(zx_[static_cast<std::size_t>(l * (2 * ts() + 1) + j)]);
-    }
-    mine.push_back(extrapolate(xa, at));
-    mine.push_back(extrapolate(yb, at));
-    mine.push_back(extrapolate(zc, at));
-  }
-  opens_.at(i)->start(mine);
+  opens_.at(i)->start(xyz_at(eval_point(i)));
 }
 
 void Vts::on_opened(int i, const FpVec& xyz) {
-  for (int l = 0; l < num_triples_; ++l) {
-    const Fp x = xyz[static_cast<std::size_t>(3 * l)];
-    const Fp y = xyz[static_cast<std::size_t>(3 * l + 1)];
-    const Fp z = xyz[static_cast<std::size_t>(3 * l + 2)];
-    if (x * y != z) {
-      discard();
-      return;
-    }
+  if (!all_multiply(xyz)) {
+    discard();
+    return;
   }
   opened_.emplace(i, xyz);
   try_finish();
@@ -325,21 +301,12 @@ void Vts::try_finish() {
   if (dealer_ok_->union_with(*dealer_nok_).size() < n() - ta()) return;
 
   const Fp beta(static_cast<std::uint64_t>(n()) + 1);
-  output_.a.clear();
-  output_.b.clear();
-  output_.c.clear();
+  const FpVec xyz = xyz_at(beta);
+  output_ = {};
   for (int l = 0; l < num_triples_; ++l) {
-    FpVec xa, yb, zc;
-    for (int j = 0; j < ts() + 1; ++j) {
-      xa.push_back(shares_[idx(l, j, 0)]);
-      yb.push_back(shares_[idx(l, j, 1)]);
-    }
-    for (int j = 0; j < 2 * ts() + 1; ++j) {
-      zc.push_back(zx_[static_cast<std::size_t>(l * (2 * ts() + 1) + j)]);
-    }
-    output_.a.push_back(extrapolate(xa, beta));
-    output_.b.push_back(extrapolate(yb, beta));
-    output_.c.push_back(extrapolate(zc, beta));
+    output_.a.push_back(xyz[static_cast<std::size_t>(3 * l)]);
+    output_.b.push_back(xyz[static_cast<std::size_t>(3 * l + 1)]);
+    output_.c.push_back(xyz[static_cast<std::size_t>(3 * l + 2)]);
   }
   outcome_ = VtsOutcome::triples;
   output_time_ = now();

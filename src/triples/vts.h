@@ -67,9 +67,11 @@ class Vts : public ProtocolInstance {
   [[nodiscard]] std::size_t idx(int l, int i, int c) const {
     return static_cast<std::size_t>((l * (2 * ts() + 1) + i) * 3 + c);
   }
-  /// This party's share of [P(at)] for the polynomial through points
-  /// (1..count, shares[pos(0)..pos(count-1)]).
-  [[nodiscard]] Fp extrapolate(const FpVec& pts, Fp at) const;
+  /// This party's shares of X_l(at), Y_l(at), Z_l(at), interleaved per
+  /// output triple l (valid once zx_ is filled).
+  [[nodiscard]] FpVec xyz_at(Fp at) const;
+  /// True when x_l * y_l = z_l for every triple of an interleaved vector.
+  [[nodiscard]] bool all_multiply(const FpVec& xyz) const;
 
   void on_vss_output();
   void phase_transform();

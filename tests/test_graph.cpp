@@ -155,6 +155,43 @@ TEST(Clique, FindCliqueIncludingRespectsConstraints) {
   EXPECT_FALSE(q2->contains(4));
 }
 
+TEST(Clique, FindCliqueIncludingIsExact) {
+  // The dealer's asynchronous announcement relies on this: when the search
+  // finds nothing, no clique of the target size contains U. Compare with a
+  // brute-force search over all subsets.
+  Rng rng(20261017);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = 1 + static_cast<int>(rng.next_below(12));
+    const double density = 0.3 + 0.06 * static_cast<double>(rng.next_below(10));
+    Graph g = random_graph(n, density, rng);
+    PartySet u;
+    PartySet exclude;
+    for (int v = 0; v < n; ++v) {
+      const std::uint64_t r = rng.next_below(6);
+      if (r == 0) u.insert(v);
+      if (r == 1) exclude.insert(v);
+    }
+    plant_clique(g, u);
+    int best = -1;  // largest clique containing u and avoiding exclude
+    for (std::uint64_t mask = 0; mask < (1ull << n); ++mask) {
+      const PartySet s{mask};
+      if (u.subset_of(s) && s.intersect(exclude).empty() && g.is_clique(s)) {
+        best = std::max(best, s.size());
+      }
+    }
+    for (int target = 0; target <= n + 1; ++target) {
+      const auto q = find_clique_including(g, u, target, exclude);
+      ASSERT_EQ(q.has_value(), best >= target)
+          << "trial " << trial << " n=" << n << " target=" << target;
+      if (!q.has_value()) continue;
+      EXPECT_EQ(q->size(), best) << "trial " << trial;
+      EXPECT_TRUE(u.subset_of(*q));
+      EXPECT_TRUE(q->intersect(exclude).empty());
+      EXPECT_TRUE(g.is_clique(*q));
+    }
+  }
+}
+
 TEST(Clique, ImpossibleTargetReturnsNullopt) {
   Graph g(5);
   g.add_edge(0, 1);

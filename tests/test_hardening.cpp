@@ -3,6 +3,8 @@
 // property sweeps over random values.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "circuit/circuit.h"
 #include "graph/graph.h"
 #include "poly/polynomial.h"
@@ -114,6 +116,64 @@ TEST(ApiMisuse, WssRejectsOversizedInput) {
   EXPECT_THROW(w.start({Polynomial::constant(Fp(1)),
                         Polynomial::constant(Fp(2))}),
                InvariantError);
+}
+
+/// A corrupt dealer P0 of an otherwise honest (7,2,1) Π_WSS run rewrites
+/// its Acast INIT on instance `key` so that the announced Q_a is {10..15}.
+/// Honest parties must treat the payload as ⊥ rather than index their
+/// n-vertex graphs with those ids.
+void expect_out_of_range_qa_is_malformed(
+    NetworkKind kind, const std::string& key,
+    const std::function<void(Words&)>& rewrite, WssOutcome expected) {
+  SCOPED_TRACE(key);
+  const ProtocolParams p = testing::p7_2_1();
+  auto adv = std::make_shared<ScriptedAdversary>(PartySet::of({0}));
+  adv->add_rule(
+      [key](const Message& m, Time) {
+        return m.from == 0 && m.type == 1 && m.instance() == key;
+      },
+      [rewrite](const Message& m, Time, Rng&) {
+        SendDecision d;
+        Message alt = m;
+        rewrite(alt.payload.mut());
+        d.replacement = std::move(alt);
+        return d;
+      });
+  testing::MonitoredSim ms = testing::make_monitored_sim(
+      {.params = p, .kind = kind, .seed = 7}, adv);
+  std::vector<Wss*> inst;
+  WssOptions opts;
+  for (int i = 0; i < p.n; ++i) {
+    inst.push_back(&ms->party(i).spawn<Wss>("wss", 0, 0, opts, nullptr));
+  }
+  Rng rng(7);
+  inst[0]->start({Polynomial::random_with_constant(Fp(1), p.ts, rng)});
+  ASSERT_EQ(ms->run(), RunStatus::quiescent);
+  for (int i = 1; i < p.n; ++i) {
+    EXPECT_EQ(inst[static_cast<std::size_t>(i)]->outcome(), expected)
+        << "party " << i;
+  }
+  EXPECT_TRUE(ms.monitors->ok());
+}
+
+TEST(WssHardening, OutOfRangeQaIsMalformed) {
+  // Step 5's (sync, G, Q_a), Q_a in the last word: Π_BA #1 decides 0 and
+  // the asynchronous exit delivers rows.
+  expect_out_of_range_qa_is_malformed(
+      NetworkKind::synchronous, "wss/it0/d5/acast",
+      [](Words& w) { w.back() = 0xFC00; }, WssOutcome::rows);
+  // The (async, A, Q_a, U, rows of U) announcement: Q_a and U follow A's
+  // n + 1 words, and an empty U lets Q_a reach the clique check. This
+  // schedule misses every synchronous exit, so the announcement is the only
+  // way out: rejecting it leaves no output, which Π_WSS permits for a
+  // corrupt dealer.
+  expect_out_of_range_qa_is_malformed(
+      NetworkKind::asynchronous, "wss/asyncq",
+      [](Words& w) {
+        w[8] = 0xFC00;
+        w[9] = 0;
+      },
+      WssOutcome::none);
 }
 
 class BeaverSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -1,11 +1,12 @@
 // Protocol tests: Π_WSS (Protocols 6.1/6.2, Theorem 6.3).
 //
 // Covers: honest dealer in both networks (correctness + timing), corrupt
-// parties forcing the restart path (silent) and the conflict-resolution /
-// clique-extension path (wrong points), corrupt dealers (weak commitment),
-// the Z-conditioned variant with the (restart, {φ}) blacklist machinery,
-// and the privacy audit (≤ ts - ta rows revealed, none honest for an honest
-// dealer in a synchronous network).
+// parties forcing the restart path (silent, or garbling every message of
+// the instance), the conflict-resolution / clique-extension path of steps
+// 7-9 (garbled pairwise points only, resolved or restarted at step 8),
+// corrupt dealers (weak commitment), the Z-conditioned variant with the
+// (restart, {φ}) blacklist machinery, and the privacy audit (≤ ts - ta rows
+// revealed, none honest for an honest dealer in a synchronous network).
 #include <gtest/gtest.h>
 
 #include "sharing/wss.h"
@@ -141,7 +142,9 @@ TEST_P(WssModeTest, WrongPointSendersForceConflictResolution) {
   PartySet corrupt;
   for (int i = 0; i < budget; ++i) corrupt.insert(c.params.n - 1 - i);
   auto adv = std::make_shared<ScriptedAdversary>(corrupt);
-  // Corrupt parties send wrong pairwise points (but report honestly).
+  // Corrupt parties garble every message whose key contains "wss": their
+  // pairwise points, and also their reports and broadcasts, so the dealer
+  // accuses them and restarts. WssExpansionTest garbles the points alone.
   for (int id : corrupt.to_vector()) adv->garble_on(id, "wss", 0);
   WssHarness h({.params = c.params, .kind = c.kind, .seed = c.seed,
                 .ideal = c.ideal},
@@ -330,6 +333,80 @@ TEST(WssBotOutcome, CheatedOutsiderDetectsSynchronyAndOutputsBot) {
     EXPECT_EQ(inst[static_cast<std::size_t>(i)]->outcome(), WssOutcome::rows);
   }
 }
+
+// --- Protocol 6.1 steps 7-9: conflict resolution and clique expansion -----
+
+/// Drives the dealer's `continue` in a synchronous network. The last ts
+/// parties are corrupt and garble only their pairwise points (type 2 on the
+/// root key), so no (n - ta)-clique exists at step 5 and V falls among
+/// them. With `garble_conflicts` they also garble their own conflict
+/// broadcasts, and the dealer's step-8 check restarts with them in U.
+void expect_clique_expansion(const ProtocolParams& p, bool garble_conflicts,
+                             std::uint64_t restarts) {
+  PartySet corrupt;
+  for (int i = 0; i < p.ts; ++i) corrupt.insert(p.n - 1 - i);
+  auto adv = std::make_shared<ScriptedAdversary>(corrupt);
+  for (int id : corrupt.to_vector()) {
+    adv->add_rule(
+        [id](const Message& m, Time) {
+          return m.from == id && m.type == 2 && m.instance() == "wss";
+        },
+        [](const Message& m, Time, Rng&) {
+          SendDecision d;
+          Message alt = m;
+          for (Word& w : alt.payload.mut()) w = (Fp(w) + Fp(1)).value();
+          d.replacement = std::move(alt);
+          return d;
+        });
+    if (garble_conflicts) adv->garble_on(id, "wss/it0/cr");
+  }
+  testing::MonitoredSim ms = testing::make_monitored_sim(
+      {.params = p, .kind = NetworkKind::synchronous, .seed = 7}, adv);
+  std::vector<Wss*> inst;
+  WssOptions opts;
+  for (int i = 0; i < p.n; ++i) {
+    inst.push_back(&ms->party(i).spawn<Wss>("wss", 0, 0, opts, nullptr));
+  }
+  Rng rng(7);
+  const Polynomial q = Polynomial::random_with_constant(Fp(11), p.ts, rng);
+  inst[0]->start({q});
+  ASSERT_EQ(ms->run(), RunStatus::quiescent);
+
+  bool conflicts_ran = false;
+  for (std::uint32_t id = 0; id < ms->instance_count(); ++id) {
+    conflicts_ran |= ms->instance_name(id).rfind("wss/it0/cr", 0) == 0;
+  }
+  EXPECT_TRUE(conflicts_ran) << "the dealer never announced continue";
+  EXPECT_EQ(ms->metrics().wss_restarts, restarts);
+  // The sync exit of iteration `restarts`, before the asynchronous gate.
+  const Timing& t = ms->timing();
+  const Time exit_by =
+      static_cast<Time>(restarts + 1) * t.wss_iter + 3 * t.delta;
+  for (int i = 0; i < p.n; ++i) {
+    if (corrupt.contains(i)) continue;
+    const Wss* w = inst[static_cast<std::size_t>(i)];
+    ASSERT_EQ(w->outcome(), WssOutcome::rows) << "party " << i;
+    EXPECT_EQ(w->share(0), q.eval(eval_point(i))) << "party " << i;
+    EXPECT_LE(w->output_time(), exit_by) << "party " << i;
+  }
+  EXPECT_TRUE(ms.monitors->ok());
+}
+
+class WssExpansionTest : public ::testing::TestWithParam<ProtocolParams> {};
+
+TEST_P(WssExpansionTest, ResolvedConflictsAnnounceSyncAtStep8) {
+  expect_clique_expansion(GetParam(), false, 0);
+}
+
+TEST_P(WssExpansionTest, GarbledConflictBroadcastsRestartAtStep8) {
+  expect_clique_expansion(GetParam(), true, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, WssExpansionTest,
+                         ::testing::Values(ProtocolParams{4, 1, 0},
+                                           ProtocolParams{7, 2, 1},
+                                           ProtocolParams{10, 3, 1},
+                                           ProtocolParams{13, 4, 2}));
 
 // --- Determinism ----------------------------------------------------------
 
