@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "util/codec.h"
 
@@ -23,6 +23,11 @@ inline constexpr std::uint32_t kNoInstance = 0xffffffffu;
 /// forward a body it received without copying it (Acast's ECHO/READY). An
 /// empty Payload holds no body at all.
 ///
+/// A Payload is one pointer to an intrusive body with a plain, non-atomic
+/// count: a body is copied and released only on the thread that made it.
+/// Bodies never cross threads — ThreadedTransport::post copies the words
+/// out and the receiving runtime wraps a fresh body (net/threaded.cpp).
+///
 /// Reads go through the const view below; it is enough for std::span's
 /// range constructor, so `Reader r(msg.payload)` reads in place. The one
 /// writer is mut(), which clones a shared body first: only the adversary's
@@ -34,26 +39,45 @@ class Payload {
   // Implicit on purpose, both ways: Words arguments move into the body
   // (no word copy), and a Payload reads as `const Words&`.
   Payload(Words words)
-      : body_(words.empty() ? nullptr
-                            : std::make_shared<Words>(std::move(words))) {}
+      : body_(words.empty() ? nullptr : new Body{1, std::move(words)}) {}
   Payload(std::initializer_list<Word> words) : Payload(Words(words)) {}
+
+  Payload(const Payload& other) noexcept : body_(other.body_) {
+    if (body_ != nullptr) ++body_->refs;
+  }
+  Payload(Payload&& other) noexcept
+      : body_(std::exchange(other.body_, nullptr)) {}
+  // Copy-and-swap: self-assignment and assignment over a shared body both
+  // release the old body exactly once.
+  Payload& operator=(const Payload& other) noexcept {
+    Payload(other).swap(*this);
+    return *this;
+  }
+  Payload& operator=(Payload&& other) noexcept {
+    Payload(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~Payload() {
+    if (body_ != nullptr && --body_->refs == 0) delete body_;
+  }
 
   [[nodiscard]] const Words& words() const {
     static const Words kEmpty;
-    return body_ != nullptr ? *body_ : kEmpty;
+    return body_ != nullptr ? body_->words : kEmpty;
   }
   operator const Words&() const { return words(); }
 
   [[nodiscard]] const Word* data() const {
-    return body_ != nullptr ? body_->data() : nullptr;
+    return body_ != nullptr ? body_->words.data() : nullptr;
   }
   [[nodiscard]] std::size_t size() const {
-    return body_ != nullptr ? body_->size() : 0;
+    return body_ != nullptr ? body_->words.size() : 0;
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
   [[nodiscard]] const Word* begin() const { return data(); }
   [[nodiscard]] const Word* end() const {
-    return body_ != nullptr ? body_->data() + body_->size() : nullptr;
+    return body_ != nullptr ? body_->words.data() + body_->words.size()
+                            : nullptr;
   }
 
   /// Copy-on-write access: clones the body when another Payload shares it
@@ -61,16 +85,26 @@ class Payload {
   /// Payload's alone.
   [[nodiscard]] Words& mut() {
     if (body_ == nullptr) {
-      body_ = std::make_shared<Words>();
-    } else if (body_.use_count() > 1) {
-      body_ = std::make_shared<Words>(*body_);
+      body_ = new Body{1, {}};
+    } else if (body_->refs > 1) {
+      Body* clone = new Body{1, body_->words};
+      --body_->refs;
+      body_ = clone;
     }
-    return *body_;
+    return body_->words;
   }
 
  private:
-  std::shared_ptr<Words> body_;
+  struct Body {
+    std::size_t refs;
+    Words words;
+  };
+
+  void swap(Payload& other) noexcept { std::swap(body_, other.body_); }
+
+  Body* body_ = nullptr;
 };
+static_assert(sizeof(Payload) == sizeof(void*));
 
 /// A message addressed to a protocol instance on the receiving party.
 ///

@@ -69,19 +69,26 @@ Party& Simulation::party(PartyId id) {
   return *parties_[static_cast<std::size_t>(id)];
 }
 
-void Simulation::push_event(Time t, int klass, Event ev) {
+Simulation::Slot& Simulation::push_event(Time t, int klass, Queued ev) {
   NAMPC_REQUIRE(t >= now_, "cannot schedule in the past");
-  calendar_[{t, klass}].push_back(std::move(ev));
+  Slot& slot = calendar_[{t, klass}];
+  slot.events.push_back(std::move(ev));
   registry_->on_queue_depth(++pending_);
+  return slot;
 }
 
 void Simulation::schedule(Time t, std::function<void()> fn, int klass,
                           std::uint32_t owner, PartyId owner_party) {
-  push_event(t, klass, Timer{std::move(fn), owner, owner_party});
+  push_event(t, klass, Queued{owner_party, kTimerMark, 0, owner, {}})
+      .timers.push_back(std::move(fn));
 }
 
 void Simulation::schedule_delivery(Time t, Message msg) {
-  push_event(t, /*klass=*/0, std::move(msg));
+  // A valid receiver also keeps a delivery from reading as a timer record.
+  NAMPC_REQUIRE(msg.to >= 0 && msg.to < n(), "delivery receiver out of range");
+  push_event(t, /*klass=*/0,
+             Queued{msg.from, msg.to, msg.type, msg.instance_id,
+                    std::move(msg.payload)});
 }
 
 std::uint32_t Simulation::intern_instance(const std::string& key) {
@@ -116,24 +123,29 @@ void Simulation::post_message(Message msg) {
 }
 
 void Simulation::dispatch_top() {
-  const auto slot = calendar_.begin();
-  const auto [time, klass] = slot->first;
-  Event ev = std::move(slot->second.front());
-  slot->second.pop_front();
-  if (slot->second.empty()) calendar_.erase(slot);
+  const auto top = calendar_.begin();
+  const auto [time, klass] = top->first;
+  Slot& slot = top->second;
+  Queued ev = std::move(slot.events.front());
+  slot.events.pop_front();
+  const bool timer = ev.to == kTimerMark;
+  std::function<void()> fn;
+  if (timer) fn = std::move(slot.timers[slot.next_timer++]);
+  if (slot.events.empty()) calendar_.erase(top);
   --pending_;
   registry_->advance_time(time);
   now_ = time;
-  if (auto* m = std::get_if<Message>(&ev)) {
-    registry_->on_dispatch(m->instance_id, m->to, /*delivery=*/true, m->type,
-                           now_, m->payload.size());
-    party(m->to).deliver(*m);
-  } else {
-    Timer& timer = std::get<Timer>(ev);
-    registry_->on_dispatch(timer.owner, timer.owner_party, /*delivery=*/false,
-                           klass, now_, 0);
-    timer.fn();
+  if (timer) {
+    registry_->on_dispatch(ev.instance_id, ev.from, /*delivery=*/false, klass,
+                           now_, 0);
+    fn();
+    return;
   }
+  registry_->on_dispatch(ev.instance_id, ev.to, /*delivery=*/true, ev.type,
+                         now_, ev.payload.size());
+  const Message msg{ev.from, ev.to, ev.type, ev.instance_id,
+                    &instance_name(ev.instance_id), std::move(ev.payload)};
+  party(msg.to).deliver(msg);
 }
 
 std::optional<Time> Simulation::next_event_time() const {
@@ -182,12 +194,10 @@ RunStatus Simulation::run() {
 obs::QueueStats Simulation::queue_stats() const {
   obs::QueueStats stats;
   stats.depth = pending_;
-  for (const auto& [slot, events] : calendar_) {
-    stats.by_klass[slot.second] += events.size();
-    for (const Event& ev : events) {
-      if (const auto* m = std::get_if<Message>(&ev)) {
-        stats.deliveries_by_instance[m->instance_id]++;
-      }
+  for (const auto& [key, slot] : calendar_) {
+    stats.by_klass[key.second] += slot.events.size();
+    for (const Queued& ev : slot.events) {
+      if (ev.to != kTimerMark) stats.deliveries_by_instance[ev.instance_id]++;
     }
   }
   if (!calendar_.empty()) stats.horizon = calendar_.rbegin()->first.first;

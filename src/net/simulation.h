@@ -13,6 +13,9 @@
 // calendar: an ordered map from (time, klass) to a FIFO of events. Its
 // first slot holds the next events, and appending to a slot's FIFO keeps
 // scheduling order within it, so no per-event sequence number is needed.
+// A queued event is a 24-byte record (a delivery's Message minus its
+// interned key text); a timer's record is marked by its `to` field, and
+// its callable waits in a second FIFO of the same slot, in the same order.
 //
 // Model enforcement (see adversary.h): honest→* messages cannot be dropped
 // or modified; in a synchronous network they arrive within Δ and in FIFO
@@ -32,7 +35,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "net/adversary.h"
@@ -186,9 +188,10 @@ class Simulation {
   void schedule(Time t, std::function<void()> fn, int klass = 1,
                 std::uint32_t owner = kNoInstance, PartyId owner_party = -1);
 
-  /// Schedules a message delivery at absolute time t. Deliveries carry the
-  /// Message inline in the event (klass 0) — no closure allocation on the
-  /// hot path, which at n = 64 runs tens of millions of times.
+  /// Schedules a message delivery at absolute time t. Deliveries are queued
+  /// inline as 24-byte records (klass 0) — no closure allocation on the hot
+  /// path, which at n = 64 runs tens of millions of times; the Message is
+  /// rebuilt at dispatch, its instance_name from the interner.
   void schedule_delivery(Time t, Message msg);
 
   /// Interns a protocol-instance routing key, returning its dense id.
@@ -245,18 +248,33 @@ class Simulation {
   }
 
  private:
-  /// Timer event body; its (time, klass) is the calendar key.
-  struct Timer {
-    std::function<void()> fn;
-    // Cost attribution (deliveries carry msg.instance_id instead).
-    std::uint32_t owner = kNoInstance;
-    PartyId owner_party = -1;
+  /// One queued event; its (time, klass) is the calendar key. A delivery
+  /// is its Message's fields but the key text. A timer has `to` ==
+  /// kTimerMark and carries its cost attribution in the other fields: the
+  /// owner instance in `instance_id`, the owner party in `from`.
+  struct Queued {
+    PartyId from;
+    PartyId to;
+    int type;
+    std::uint32_t instance_id;
+    Payload payload;
   };
-  using Event = std::variant<Message, Timer>;
+  static_assert(sizeof(Queued) <= 24);
+  static constexpr PartyId kTimerMark = -1;
+
+  /// One calendar slot. Each timer record in `events` owns the next
+  /// not-yet-run callable in `timers` (both FIFOs keep scheduling order).
+  /// A callable is moved out and run when its record dispatches; one still
+  /// pending when the calendar is cleared (~Simulation) dies with its slot.
+  struct Slot {
+    std::deque<Queued> events;
+    std::vector<std::function<void()>> timers;
+    std::size_t next_timer = 0;
+  };
 
   void audit_privacy() const;
 
-  void push_event(Time t, int klass, Event ev);
+  Slot& push_event(Time t, int klass, Queued ev);
 
   /// Pops and dispatches the earliest event (shared by run and run_one).
   void dispatch_top();
@@ -280,7 +298,7 @@ class Simulation {
   Rng rng_;
   Time now_ = 0;
   // The event calendar (see the file comment); pending_ counts its events.
-  std::map<std::pair<Time, int>, std::deque<Event>> calendar_;
+  std::map<std::pair<Time, int>, Slot> calendar_;
   std::uint64_t pending_ = 0;
   std::vector<std::unique_ptr<Party>> parties_;
   // Delivery backend: des_transport_ is the built-in default, transport_

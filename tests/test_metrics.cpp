@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "acs/acs.h"
 #include "obs/metrics.h"
 #include "sharing/wss.h"
 #include "sim_helpers.h"
@@ -247,6 +248,46 @@ TEST(MetricsRegistry, FlightRecorderCapturesEngineeredValveTrip) {
   std::ostringstream none;
   EXPECT_FALSE(obs::write_flight_record(none, *clean.sim));
   EXPECT_TRUE(none.str().empty());
+}
+
+// Ideal Π_ABA outputs are klass-0 *timers* (broadcast/aba.cpp), so with
+// ideal primitives klass 0 mixes deliveries and timers. An async ACS trip
+// taken while such outputs are pending must still tell them apart: the
+// by-kind rows count pending deliveries only.
+TEST(MetricsRegistry, FlightRecordTellsTimersFromDeliveries) {
+  Simulation::Config cfg;
+  cfg.params = p7_2_1();
+  cfg.kind = NetworkKind::asynchronous;
+  cfg.seed = 29;
+  cfg.ideal_primitives = true;
+  cfg.max_events = 2000;
+  Simulation sim(cfg, std::make_shared<Adversary>());
+  std::vector<Acs*> inst;
+  for (int i = 0; i < cfg.params.n; ++i) {
+    inst.push_back(&sim.party(i).spawn<Acs>("acs", 0, nullptr));
+  }
+  for (Acs* acs : inst) {
+    for (int j = 0; j < cfg.params.n; ++j) acs->mark(j);
+  }
+  ASSERT_EQ(sim.run(), RunStatus::event_limit);
+  const MetricsRegistry& reg = sim.metrics_registry();
+  ASSERT_TRUE(reg.flight().has_value());
+  const obs::FlightRecord& rec = *reg.flight();
+
+  std::uint64_t by_klass = 0;
+  for (const auto& [klass, count] : rec.queue_by_klass) by_klass += count;
+  EXPECT_EQ(by_klass, rec.queue_depth);
+  std::uint64_t by_kind = 0;
+  for (const auto& [kind, count] : rec.queue_by_kind) by_kind += count;
+  const auto klass0 = rec.queue_by_klass.find(0);
+  ASSERT_NE(klass0, rec.queue_by_klass.end());
+  // Ideal ABA outputs are pending in klass 0 next to deliveries ...
+  EXPECT_GT(by_kind, 0u);
+  EXPECT_LT(by_kind, klass0->second);
+  // ... and the by-kind rows hold exactly the deliveries still pending:
+  // every message sent (none dropped) minus every delivery dispatched.
+  const InstanceCost total = sum_rows(reg.instance_rows());
+  EXPECT_EQ(by_kind, total.messages - (total.events - total.timers));
 }
 
 // The emitted JSONL keeps to the committed "nampc-metrics/1" shape: header

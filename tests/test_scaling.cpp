@@ -1,8 +1,9 @@
-// Scaling-engine invariants: shared payload bodies never alias a rewrite,
-// instance-id interning is stable, the batched RS encode and dealer row
-// caches are bit-identical to the per-point paths they replace, the
-// incremental Star repair preserves matching maximality on random NOK
-// sequences, and the scaling sweep is byte-deterministic serial vs parallel.
+// Scaling-engine invariants: shared payload bodies never alias a rewrite
+// and are released exactly once, instance-id interning is stable, the
+// batched RS encode and dealer row caches are bit-identical to the
+// per-point paths they replace, the incremental Star repair preserves
+// matching maximality on random NOK sequences, and the scaling sweep is
+// byte-deterministic serial vs parallel.
 #include <gtest/gtest.h>
 
 #include "graph/star_incremental.h"
@@ -49,6 +50,91 @@ TEST(Payload, SharesOneBodyAndRewritesDoNotAlias) {
   const std::span<const Word> view = r.view();
   EXPECT_EQ(view.data(), framed.data() + 1);
   EXPECT_TRUE(r.done());
+}
+
+// mut() writes in place exactly when this Payload is its body's only
+// owner, so it doubles as a probe of the plain count. The probe is not
+// read-only: on a shared body it leaves `p` the sole owner of a clone.
+bool sole_owner(Payload& p) {
+  const Word* before = p.data();
+  (void)p.mut();
+  return p.data() == before;
+}
+
+// The body count is a plain integer: every copy, move and assignment must
+// take or release exactly one reference. A missed release leaks (the ASan
+// ctest job runs with detect_leaks=1); an extra one is a use-after-free.
+TEST(Payload, CountReleasesExactlyOnce) {
+  Payload a = Words{1, 2, 3};
+  const Word* body = a.data();
+  {
+    Payload copy = a;
+    EXPECT_EQ(copy.data(), body);
+    const Payload moved = std::move(copy);
+    EXPECT_EQ(moved.data(), body);
+    EXPECT_EQ(copy.data(), nullptr);  // NOLINT(bugprone-use-after-move)
+  }
+  EXPECT_TRUE(sole_owner(a));
+  EXPECT_EQ(a.data(), body);
+
+  // Self-assignment, copy and move, keeps the one reference.
+  Payload& alias = a;
+  a = alias;
+  EXPECT_EQ(a.data(), body);
+  EXPECT_TRUE(sole_owner(a));
+  a = std::move(alias);
+  EXPECT_EQ(a.data(), body);
+  EXPECT_TRUE(sole_owner(a));
+  EXPECT_EQ(a.words(), (Words{1, 2, 3}));
+
+  // Copy-assignment over a shared body releases it once.
+  Payload x = Words{7};
+  Payload y = x;
+  const Payload z = Words{8};
+  y = z;
+  EXPECT_EQ(y.data(), z.data());
+  EXPECT_TRUE(sole_owner(x));
+  EXPECT_EQ(x.words(), (Words{7}));
+  // So does move-assignment, which empties its source.
+  Payload u = Words{9};
+  Payload v = u;
+  Payload w = Words{10};
+  const Word* w_body = w.data();
+  v = std::move(w);
+  EXPECT_EQ(v.data(), w_body);
+  EXPECT_EQ(w.data(), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(sole_owner(u));
+  EXPECT_TRUE(sole_owner(v));
+  // And assigning an empty Payload.
+  Payload s = Words{11};
+  Payload t = s;
+  t = Payload();
+  EXPECT_TRUE(t.empty());
+  EXPECT_TRUE(sole_owner(s));
+
+  // mut() on an empty Payload allocates a body of its own ...
+  Payload e;
+  e.mut().push_back(5);
+  EXPECT_NE(e.data(), nullptr);
+  EXPECT_EQ(e.words(), (Words{5}));
+  // ... writes a unique body in place ...
+  const Word* own = e.data();
+  e.mut()[0] = 6;
+  EXPECT_EQ(e.data(), own);
+  // ... and clones a shared one, leaving the other owner's words alone.
+  const Payload sharer = e;
+  e.mut()[0] = 7;
+  EXPECT_NE(e.data(), own);
+  EXPECT_EQ(sharer.data(), own);
+  EXPECT_EQ(sharer.words(), (Words{6}));
+  EXPECT_EQ(e.words(), (Words{7}));
+  // A shared body with no words yet is cloned too.
+  Payload blank;
+  (void)blank.mut();
+  Payload blank_copy = blank;
+  blank_copy.mut().push_back(1);
+  EXPECT_TRUE(blank.empty());
+  EXPECT_EQ(blank_copy.words(), (Words{1}));
 }
 
 TEST(InstanceInterning, StableDenseIds) {

@@ -1,10 +1,13 @@
 // Unit tests: discrete-event simulator, routing, buffering, adversary
-// model enforcement, event ordering.
+// model enforcement, event ordering, timer-closure lifetimes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <queue>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -428,6 +431,119 @@ TEST(Sim, EventOrderMatchesReferenceHeap) {
   while (capped.run_one()) {
   }
   EXPECT_EQ(ran, (std::vector<Time>{10, 49, 50, 60}));
+}
+
+/// Counts what happens to one timer closure: runs, copies, and the
+/// destruction of a live (not moved-from) object. Its padding outgrows
+/// std::function's local buffer, so the closure lives on the heap.
+struct ClosureTally {
+  int runs = 0;
+  int copies = 0;
+  int destroyed = 0;
+};
+
+class HeavyClosure {
+ public:
+  explicit HeavyClosure(ClosureTally& tally) : tally_(&tally) {}
+  HeavyClosure(const HeavyClosure& other)
+      : tally_(other.tally_), pad_(other.pad_) {
+    ++tally_->copies;
+  }
+  HeavyClosure(HeavyClosure&& other) noexcept
+      : tally_(other.tally_), pad_(other.pad_) {
+    other.live_ = false;
+  }
+  HeavyClosure& operator=(const HeavyClosure&) = delete;
+  HeavyClosure& operator=(HeavyClosure&&) = delete;
+  ~HeavyClosure() {
+    if (live_) ++tally_->destroyed;
+  }
+
+  void operator()() const { ++tally_->runs; }
+
+ private:
+  ClosureTally* tally_;
+  bool live_ = true;
+  std::array<std::uint64_t, 8> pad_{};
+};
+static_assert(sizeof(HeavyClosure) > sizeof(std::function<void()>));
+
+/// Clears `alive` when its party destroys it.
+class Lifetime : public ProtocolInstance {
+ public:
+  Lifetime(Party& party, std::string key, bool& alive)
+      : ProtocolInstance(party, std::move(key)), alive_(&alive) {
+    alive = true;
+  }
+  ~Lifetime() override { *alive_ = false; }
+
+  void on_message(const Message&) override {}
+
+ private:
+  bool* alive_;
+};
+
+// Timer callables wait in a FIFO beside their calendar slot's records. A
+// handler may schedule into its own (time, klass) slot, a lower and a
+// higher klass of its tick, and a later tick; every closure runs once and
+// is destroyed once; closures still pending at ~Simulation die with their
+// slots, before the parties whose instances they may point into.
+TEST(Sim, TimerClosuresRunOnceAndDieWithTheirSlot) {
+  auto sim = make_sim({.params = testing::p4_1_0()});
+  std::vector<std::string> order;
+  const auto mark = [&order](std::string label) {
+    return [&order, label = std::move(label)] { order.push_back(label); };
+  };
+  sim->schedule(5, [&] {
+    order.emplace_back("a");
+    sim->schedule(5, mark("a1"));
+    sim->schedule(5, mark("a2"), /*klass=*/2);
+    sim->schedule(5, mark("a0"), /*klass=*/0);
+    sim->schedule(6, mark("a3"));
+    sim->schedule(5, mark("a4"));
+  });
+  sim->schedule(5, mark("b"));
+  sim->schedule(5, mark("c"), /*klass=*/2);
+  EXPECT_EQ(sim->run(), RunStatus::quiescent);
+  // The reference order is (time, klass, scheduling order).
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "a0", "b", "a1", "a4", "c",
+                                             "a2", "a3"}));
+
+  ClosureTally tally;
+  sim->schedule(10, HeavyClosure(tally));
+  EXPECT_EQ(tally.destroyed, 0);
+  ASSERT_TRUE(sim->run_one());
+  EXPECT_EQ(tally.runs, 1);
+  EXPECT_EQ(tally.copies, 0);
+  EXPECT_EQ(tally.destroyed, 1);
+  EXPECT_FALSE(sim->run_one());
+  EXPECT_EQ(tally.runs, 1);
+  EXPECT_EQ(tally.destroyed, 1);
+
+  const auto token = std::make_shared<int>(0);
+  bool instance_alive = false;
+  bool alive_at_release = false;
+  {
+    auto doomed = make_sim({.params = testing::p4_1_0()});
+    doomed->party(0).spawn<Lifetime>("life", instance_alive);
+    const std::shared_ptr<int> witness(new int(0), [&](const int* p) {
+      alive_at_release = instance_alive;
+      delete p;
+    });
+    doomed->schedule(20, [token] {}, /*klass=*/0);
+    doomed->schedule(20, [token, witness] {}, /*klass=*/0);
+    doomed->schedule(30, [token] {}, /*klass=*/3);
+    EXPECT_EQ(token.use_count(), 4);
+    ASSERT_TRUE(doomed->run_one());  // the first closure of slot (20, 0)
+    EXPECT_EQ(token.use_count(), 3);
+    EXPECT_TRUE(instance_alive);
+  }
+  EXPECT_FALSE(instance_alive);
+  EXPECT_TRUE(alive_at_release);
+  EXPECT_EQ(token.use_count(), 1);
+
+  // A delivery is never queued with the timer mark as its receiver.
+  EXPECT_THROW(sim->schedule_delivery(sim->now(), Message{}), InvariantError);
 }
 
 TEST(PartySetUtil, SubsetIteration) {
