@@ -16,11 +16,12 @@ void Acast::start(Words message) {
 }
 
 void Acast::on_message(const Message& msg) {
+  if (msg.type == kInit) {
+    if (msg.from == sender_) maybe_echo(msg.payload);  // only the sender inits
+    return;
+  }
+  if (settled()) return;
   switch (msg.type) {
-    case kInit:
-      if (msg.from != sender_) return;  // only the sender may init
-      maybe_echo(msg.payload);
-      break;
     case kEcho: {
       PartySet& who = voters(echoes_, msg.payload);
       who.insert(msg.from);
@@ -45,6 +46,10 @@ void Acast::on_message(const Message& msg) {
     }
     default:
       break;  // unknown type: ignore (corrupt sender)
+  }
+  if (settled()) {
+    echoes_ = Votes();  // assigning a fresh vector frees the storage
+    readies_ = Votes();
   }
 }
 

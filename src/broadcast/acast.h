@@ -44,8 +44,16 @@ class Acast : public ProtocolInstance {
   // Per candidate message value: who echoed / readied it. One entry per
   // distinct value, found by body identity first (honest parties forward
   // the body they received, so most votes share one) and then by words.
+  // Once this party has sent READY and output (settled()), no vote can
+  // cause a send or an output: later ECHOs and READYs are skipped and both
+  // lists are freed. Output alone is not enough, since where
+  // n − ts < ts + 1 a party can output before any quorum makes it READY.
   using Votes = std::vector<std::pair<Payload, PartySet>>;
   [[nodiscard]] static PartySet& voters(Votes& votes, const Payload& m);
+
+  [[nodiscard]] bool settled() const {
+    return readied_ && output_.has_value();
+  }
 
   void maybe_echo(const Payload& m);
   void maybe_ready(const Payload& m);

@@ -144,6 +144,7 @@ void Sba::on_message(const Message& msg) {
     return Words(body.begin(), body.end());
   };
   if (msg.type == kExchange) {
+    if (phase < tallied_) return;  // its tally has run
     Tally& tally = phase_slot(exchange_, phase);
     if (tally.senders.contains(msg.from)) return;
     tally.senders.insert(msg.from);
@@ -155,6 +156,7 @@ void Sba::on_message(const Message& msg) {
       tally.counts.emplace_back(copy(), 1);
     }
   } else if (msg.type == kKing) {
+    if (phase < concluded_) return;  // the phase has concluded
     if (msg.from != phase % n()) return;  // only the phase king may speak
     std::optional<SbaValue>& king = phase_slot(king_, phase);
     if (!king.has_value()) king = copy();
@@ -165,13 +167,16 @@ void Sba::tally_exchange(int phase) {
   // Most frequent value among this phase's exchange messages.
   phase_majority_ = std::nullopt;
   phase_majority_count_ = 0;
-  for (const auto& [tv, count] : phase_slot(exchange_, phase).counts) {
+  Tally::Counts& counts = phase_slot(exchange_, phase).counts;
+  for (const auto& [tv, count] : counts) {
     if (count > phase_majority_count_ ||
         (count == phase_majority_count_ && sba_value_less(tv, phase_majority_))) {
       phase_majority_ = tv;
       phase_majority_count_ = count;
     }
   }
+  counts = Tally::Counts();  // read once; frees the storage
+  tallied_ = phase + 1;
   // King round: the phase king announces its majority.
   if (my_id() == phase % n()) {
     Writer w;
@@ -182,17 +187,22 @@ void Sba::tally_exchange(int phase) {
 }
 
 void Sba::conclude_phase(int phase) {
+  std::optional<SbaValue>& king = phase_slot(king_, phase);
   // LINT:threshold(sba.majority_quorum)
   if (phase_majority_count_ >= n() - params().ts) {
     value_ = phase_majority_;
   } else {
-    value_ = phase_slot(king_, phase).value_or(std::nullopt);
+    value_ = king.value_or(std::nullopt);
   }
+  king.reset();
+  concluded_ = phase + 1;
 }
 
 void Sba::finish() {
   if (done_) return;
   done_ = true;
+  exchange_ = std::vector<Tally>();
+  king_ = std::vector<std::optional<SbaValue>>();
   span_done();
   notify_output(encode_value(output_));
   if (on_output_) on_output_(output_);

@@ -69,13 +69,19 @@ class Sba : public ProtocolInstance {
   // used, so a constructed instance allocates nothing. Each EXCHANGE tally
   // holds the senders already counted (only a sender's first message counts)
   // and each distinct value with its count: O((ts+1) · distinct values)
-  // words, not a copy per (phase, sender).
+  // words, not a copy per (phase, sender). A phase's counts are freed once
+  // tally_exchange has read them, and its KING value once conclude_phase
+  // has; later messages for those phases are ignored, and finish() frees
+  // both vectors.
   struct Tally {
+    using Counts = std::vector<std::pair<SbaValue, int>>;
     PartySet senders;
-    std::vector<std::pair<SbaValue, int>> counts;
+    Counts counts;
   };
   std::vector<Tally> exchange_;
   std::vector<std::optional<SbaValue>> king_;  // first KING value per phase
+  int tallied_ = 0;    // phases [0, tallied_) have had tally_exchange
+  int concluded_ = 0;  // phases [0, concluded_) have had conclude_phase
   SbaValue phase_majority_;
   int phase_majority_count_ = 0;
 };

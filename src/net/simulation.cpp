@@ -40,8 +40,10 @@ Simulation::Simulation(Config config, std::shared_ptr<Adversary> adversary)
 
 Simulation::~Simulation() {
   // Drop pending events (which may capture instance pointers) before the
-  // parties that own those instances.
+  // parties that own those instances, and the parties before the interner:
+  // ~ProtocolInstance closes its trace span under its key().
   calendar_.clear();
+  parties_.clear();
 }
 
 void Simulation::set_monitors(obs::MonitorEngine* monitors) {
@@ -95,8 +97,7 @@ std::uint32_t Simulation::intern_instance(const std::string& key) {
   const auto it = instance_ids_.find(key);
   if (it != instance_ids_.end()) return it->second;
   const auto id = static_cast<std::uint32_t>(instance_names_.size());
-  instance_names_.push_back(key);
-  instance_ids_.emplace(key, id);
+  instance_ids_.emplace(instance_names_.emplace_back(key), id);
   return id;
 }
 
@@ -264,10 +265,7 @@ Party::~Party() = default;
 bool Party::corrupt() const { return sim_.adversary().is_corrupt(id_); }
 
 void Party::ensure_slot(std::uint32_t instance_id) {
-  if (instance_id >= router_.size()) {
-    router_.resize(instance_id + 1, nullptr);
-    pending_.resize(instance_id + 1);
-  }
+  if (instance_id >= router_.size()) router_.resize(instance_id + 1, nullptr);
 }
 
 void Party::register_instance(ProtocolInstance& inst) {
@@ -276,11 +274,11 @@ void Party::register_instance(ProtocolInstance& inst) {
   NAMPC_REQUIRE(router_[id] == nullptr,
                 "duplicate protocol instance key: " + inst.key());
   router_[id] = &inst;
-  if (!pending_[id].empty()) {
+  if (const auto it = pending_.find(id); it != pending_.end()) {
     // Flush buffered messages as fresh events so handlers never run inside
     // the constructor call stack of the instance they target.
-    std::vector<Message> buffered = std::move(pending_[id]);
-    pending_[id].clear();
+    std::vector<Message> buffered = std::move(it->second);
+    pending_.erase(it);
     for (Message& m : buffered) {
       sim_.schedule_delivery(sim_.now(), std::move(m));
     }
@@ -307,20 +305,18 @@ void Party::deliver(const Message& msg) {
 }
 
 ProtocolInstance::ProtocolInstance(Party& party, std::string key)
-    : party_(party),
-      key_(std::move(key)),
-      instance_id_(party.sim().intern_instance(key_)) {
+    : party_(party), instance_id_(party.sim().intern_instance(key)) {
   // The span opens here (not at registration) so that span_kind/phase calls
   // from subclass constructors already find it; the base constructor runs
   // first, so parent spans exist before their children's.
   if (auto* tracer = party_.sim().tracer()) {
-    tracer->open_span(party_.id(), key_, party_.sim().now());
+    tracer->open_span(party_.id(), this->key(), party_.sim().now());
   }
 }
 
 ProtocolInstance::~ProtocolInstance() {
   if (auto* tracer = party_.sim().tracer()) {
-    tracer->close_span(party_.id(), key_, party_.sim().now());
+    tracer->close_span(party_.id(), key(), party_.sim().now());
   }
   party_.unregister_instance(instance_id_);
 }
@@ -353,33 +349,33 @@ void ProtocolInstance::send_all(int type, const Payload& payload) {
 void ProtocolInstance::span_kind(const char* kind) {
   kind_ = kind;
   sim().metrics_registry().tag_instance(instance_id_, kind_);
-  if (auto* tracer = sim().tracer()) tracer->set_kind(my_id(), key_, kind_);
+  if (auto* tracer = sim().tracer()) tracer->set_kind(my_id(), key(), kind_);
 }
 
 void ProtocolInstance::span_nominal(Time t) {
-  if (auto* tracer = sim().tracer()) tracer->set_nominal(my_id(), key_, t);
+  if (auto* tracer = sim().tracer()) tracer->set_nominal(my_id(), key(), t);
 }
 
 void ProtocolInstance::phase(const std::string& name) {
   if (auto* tracer = sim().tracer()) {
-    tracer->phase(my_id(), key_, name, now());
+    tracer->phase(my_id(), key(), name, now());
   }
 }
 
 void ProtocolInstance::span_done() {
-  if (auto* tracer = sim().tracer()) tracer->mark_done(my_id(), key_, now());
+  if (auto* tracer = sim().tracer()) tracer->mark_done(my_id(), key(), now());
 }
 
 void ProtocolInstance::notify_input(Words value) {
   if (sim().monitors() != nullptr) {
-    sim().notify_monitors({/*input=*/true, kind_, key_, my_id(),
+    sim().notify_monitors({/*input=*/true, kind_, key(), my_id(),
                            !party_.corrupt(), now(), std::move(value)});
   }
 }
 
 void ProtocolInstance::notify_output(Words value) {
   if (sim().monitors() != nullptr) {
-    sim().notify_monitors({/*input=*/false, kind_, key_, my_id(),
+    sim().notify_monitors({/*input=*/false, kind_, key(), my_id(),
                            !party_.corrupt(), now(), std::move(value)});
   }
 }

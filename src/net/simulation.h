@@ -34,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -198,7 +199,8 @@ class Simulation {
   /// Keys are identical across parties, so each logical instance interns
   /// exactly once; parties route deliveries by indexing with the id.
   [[nodiscard]] std::uint32_t intern_instance(const std::string& key);
-  /// The interned key text for `id` (stable address for the run).
+  /// The interned key text for `id` (stable address for the run). This is
+  /// the one copy of the text: every party's instance of `id` reads it here.
   [[nodiscard]] const std::string& instance_name(std::uint32_t id) const {
     return instance_names_[static_cast<std::size_t>(id)];
   }
@@ -308,9 +310,11 @@ class Simulation {
   std::string last_flight_path_;
   std::map<std::string, std::shared_ptr<void>> gadgets_;
   // Instance-key interner: dense ids for vector routing (see message.h).
-  // The deque keeps every interned string at a stable address.
-  std::map<std::string, std::uint32_t> instance_ids_;
+  // The deque keeps every interned string at a stable address, so the
+  // id map can key on views of it. ~Simulation destroys the parties
+  // first: an instance reads its key() here until it is gone.
   std::deque<std::string> instance_names_;
+  std::map<std::string_view, std::uint32_t> instance_ids_;
 };
 
 /// One simulated party: routes messages to protocol instances by key and
@@ -355,7 +359,9 @@ class Party {
   // Indexed by interned instance id (grow-on-demand): the per-delivery
   // string-map lookup this replaces dominated the n = 64 routing profile.
   std::vector<ProtocolInstance*> router_;
-  std::vector<std::vector<Message>> pending_;
+  // Traffic for ids whose instance does not exist here yet, in arrival
+  // order. Only ids that got such traffic have an entry.
+  std::map<std::uint32_t, std::vector<Message>> pending_;
   std::vector<std::unique_ptr<ProtocolInstance>> roots_;
 };
 
@@ -365,7 +371,8 @@ class Party {
 /// hierarchical string key. Subclasses implement on_message and use the
 /// protected helpers for I/O and timers. Composite protocols own child
 /// instances (make_child), giving every protocol in the stack a stable
-/// address like "mpc/z3/d2/vts/vss/it1/inner4/rbc5".
+/// address like "mpc/z3/d2/vts/vss/it1/inner4/rbc5". The key text lives
+/// once, in the Simulation's interner; an instance holds only its id.
 ///
 /// Observability: every instance automatically gets a trace span (opened
 /// at registration, closed at destruction) when a Tracer is attached.
@@ -383,7 +390,10 @@ class ProtocolInstance {
   ProtocolInstance(const ProtocolInstance&) = delete;
   ProtocolInstance& operator=(const ProtocolInstance&) = delete;
 
-  [[nodiscard]] const std::string& key() const { return key_; }
+  /// The interned key text (Simulation::instance_name of instance_id()).
+  [[nodiscard]] const std::string& key() const {
+    return party_.sim().instance_name(instance_id_);
+  }
   /// Dense per-Simulation id of key() (see Simulation::intern_instance).
   [[nodiscard]] std::uint32_t instance_id() const { return instance_id_; }
 
@@ -412,7 +422,8 @@ class ProtocolInstance {
 
   /// Tags this instance's trace span with a primitive kind ("bc", "wss",
   /// ...). Call once from the constructor; also sets the log module used
-  /// by NAMPC_PLOG and Log per-module level filters.
+  /// by NAMPC_PLOG and Log per-module level filters. `kind` is kept by
+  /// pointer, so it must be a string literal.
   void span_kind(const char* kind);
 
   /// Records the protocol's nominal start time on the span (composed
@@ -437,7 +448,7 @@ class ProtocolInstance {
   /// Context-carrying log line for NAMPC_PLOG (public so lambdas capturing
   /// `this` inside subclasses can expand the macro).
   [[nodiscard]] detail::LogLine log_line(LogLevel lvl) {
-    return detail::LogLine(lvl, now(), my_id(), kind_, key_);
+    return detail::LogLine(lvl, now(), my_id(), kind_, key());
   }
 
  protected:
@@ -454,7 +465,7 @@ class ProtocolInstance {
   /// Creates and registers a child instance keyed `key() + "/" + subkey`.
   template <typename T, typename... Args>
   T& make_child(const std::string& subkey, Args&&... args) {
-    auto owned = std::make_unique<T>(party_, key_ + "/" + subkey,
+    auto owned = std::make_unique<T>(party_, key() + "/" + subkey,
                                      std::forward<Args>(args)...);
     T& ref = *owned;
     children_.push_back(std::move(owned));
@@ -464,10 +475,10 @@ class ProtocolInstance {
 
  private:
   Party& party_;
-  std::string key_;
   std::uint32_t instance_id_;
-  std::string kind_;  ///< primitive kind from span_kind; "" until tagged
+  const char* kind_ = "";  ///< primitive kind from span_kind; "" until tagged
   std::vector<std::unique_ptr<ProtocolInstance>> children_;
 };
+static_assert(sizeof(ProtocolInstance) <= 56);
 
 }  // namespace nampc

@@ -15,6 +15,12 @@ void InvariantMonitor::report(Violation v) {
   engine_->record(std::move(v));
 }
 
+void InvariantMonitor::report(const ProtocolEvent& ev, PartySet parties,
+                              std::string detail) {
+  report({{}, std::string(ev.kind), std::string(ev.key), parties, ev.time,
+          std::move(detail)});
+}
+
 MonitorEngine& InvariantMonitor::engine() const {
   NAMPC_REQUIRE(engine_ != nullptr, "monitor not attached to an engine");
   return *engine_;
@@ -62,6 +68,20 @@ std::map<std::string, std::uint64_t> MonitorEngine::checks_by_monitor() const {
 
 namespace {
 
+/// Per-instance monitor state by instance key. Lookups take the event's
+/// view; the key text is copied once, when the instance is first seen.
+template <typename State>
+using StateMap = std::map<std::string, State, std::less<>>;
+
+template <typename State>
+State& state_for(StateMap<State>& states, std::string_view key) {
+  auto it = states.lower_bound(key);
+  if (it == states.end() || it->first != key) {
+    it = states.emplace_hint(it, std::string(key), State{});
+  }
+  return it->second;
+}
+
 // ---------------------------------------------------------------------------
 // Acast (Lemma 4.4): validity — an honest sender's message is the only value
 // any honest party outputs; consistency — no two honest parties output
@@ -73,7 +93,7 @@ class AcastMonitor final : public InvariantMonitor {
 
   void on_event(const ProtocolEvent& ev) override {
     if (ev.kind != "acast" || !ev.honest) return;
-    State& st = state_[ev.key];
+    State& st = state_for(state_, ev.key);
     if (st.flagged) return;
     if (ev.input) {
       // Only the sender submits an Acast input; an honest sender pins the
@@ -88,16 +108,14 @@ class AcastMonitor final : public InvariantMonitor {
     bump_checks();
     if (st.has_input && ev.value != st.input) {
       st.flagged = true;
-      report({{}, "acast", ev.key,
-              PartySet::of({st.sender, ev.party}), ev.time,
-              "validity: output differs from the honest sender's message"});
+      report(ev, PartySet::of({st.sender, ev.party}),
+             "validity: output differs from the honest sender's message");
       return;
     }
     if (st.has_output && ev.value != st.output) {
       st.flagged = true;
-      report({{}, "acast", ev.key,
-              PartySet::of({st.first_party, ev.party}), ev.time,
-              "consistency: two honest parties output different values"});
+      report(ev, PartySet::of({st.first_party, ev.party}),
+             "consistency: two honest parties output different values");
       return;
     }
     if (!st.has_output) {
@@ -113,7 +131,7 @@ class AcastMonitor final : public InvariantMonitor {
     Words input, output;
     int sender = -1, first_party = -1;
   };
-  std::map<std::string, State> state_;
+  StateMap<State> state_;
 };
 
 // ---------------------------------------------------------------------------
@@ -132,7 +150,7 @@ class BcMonitor final : public InvariantMonitor {
 
   void on_event(const ProtocolEvent& ev) override {
     if (ev.kind != "bc" || !ev.honest) return;
-    State& st = state_[ev.key];
+    State& st = state_for(state_, ev.key);
     if (st.flagged) return;
     if (ev.input) {
       if (!st.has_input) {
@@ -198,10 +216,10 @@ class BcMonitor final : public InvariantMonitor {
   void flag(State& st, const ProtocolEvent& ev, PartySet parties,
             const char* what) {
     st.flagged = true;
-    report({{}, ev.kind, ev.key, parties, ev.time, what});
+    report(ev, parties, what);
   }
 
-  std::map<std::string, State> state_;
+  StateMap<State> state_;
 };
 
 // ---------------------------------------------------------------------------
@@ -212,6 +230,10 @@ class BcMonitor final : public InvariantMonitor {
 // the decision) and termination (if every honest party submitted an input,
 // every honest party must have decided) — quiescence-gated because both
 // obligations are open while events remain.
+//
+// Until an instance is flagged all its decisions are equal, so its state
+// is one decision and the set of deciders; likewise one input, the set of
+// parties that gave one, and whether they all agree.
 
 class AgreementMonitor final : public InvariantMonitor {
  public:
@@ -222,54 +244,57 @@ class AgreementMonitor final : public InvariantMonitor {
     if (!ev.honest) return;
     const bool sync = engine().network() == NetworkKind::synchronous;
     if (ev.kind == "sba" && !sync) return;  // async SBA: no guarantees
-    State& st = state_[{ev.kind, ev.key}];
+    State& st = state_for(state_for(state_, ev.kind), ev.key);
     if (ev.input) {
-      st.inputs.emplace(ev.party, ev.value);
+      if (st.input_parties.contains(ev.party)) return;  // first input counts
+      if (st.input_parties.empty()) {
+        st.input = ev.value;
+      } else if (ev.value != st.input) {
+        st.unanimous = false;
+      }
+      st.input_parties.insert(ev.party);
       return;
     }
     if (st.flagged) return;
     bump_checks();
-    auto [it, fresh] = st.decisions.emplace(ev.party, ev.value);
-    if (!fresh && it->second != ev.value) {
-      st.flagged = true;
-      report({{}, ev.kind, ev.key, PartySet::of({ev.party}), ev.time,
-              "a party decided twice with different values"});
+    if (st.deciders.contains(ev.party)) {
+      if (ev.value != st.decision) {
+        st.flagged = true;
+        report(ev, PartySet::of({ev.party}),
+               "a party decided twice with different values");
+      }
       return;
     }
-    if (st.decisions.begin()->second != ev.value) {
+    if (st.deciders.empty()) {
+      st.decision = ev.value;
+    } else if (ev.value != st.decision) {
       st.flagged = true;
-      report({{}, ev.kind, ev.key,
-              PartySet::of({st.decisions.begin()->first, ev.party}), ev.time,
-              "agreement: two honest parties decided different values"});
+      report(ev, PartySet::of({st.deciders.first(), ev.party}),
+             "agreement: two honest parties decided different values");
+      return;
     }
+    st.deciders.insert(ev.party);
   }
 
   void at_quiescence(const Simulation& sim) override {
-    for (auto& [id, st] : state_) {
-      if (st.flagged) continue;
-      const auto& [kind, key] = id;
-      const int honest = engine().honest_count();
-      if (static_cast<int>(st.inputs.size()) < honest) continue;
-      bump_checks();
-      PartySet in_parties;
-      for (const auto& [p, v] : st.inputs) in_parties.insert(p);
-      // Termination: everyone joined, so everyone must have decided.
-      if (static_cast<int>(st.decisions.size()) < honest) {
-        st.flagged = true;
-        report({{}, kind, key, in_parties, sim.now(),
-                "termination: an honest party never decided"});
-        continue;
-      }
-      // Validity: unanimous honest inputs pin the decision.
-      bool unanimous = true;
-      for (const auto& [p, v] : st.inputs) {
-        if (v != st.inputs.begin()->second) unanimous = false;
-      }
-      if (unanimous &&
-          st.decisions.begin()->second != st.inputs.begin()->second) {
-        st.flagged = true;
-        report({{}, kind, key, in_parties, sim.now(),
-                "validity: unanimous honest input not decided"});
+    const int honest = engine().honest_count();
+    for (auto& [kind, states] : state_) {
+      for (auto& [key, st] : states) {
+        if (st.flagged || st.input_parties.size() < honest) continue;
+        bump_checks();
+        // Termination: everyone joined, so everyone must have decided.
+        if (st.deciders.size() < honest) {
+          st.flagged = true;
+          report({{}, kind, key, st.input_parties, sim.now(),
+                  "termination: an honest party never decided"});
+          continue;
+        }
+        // Validity: unanimous honest inputs pin the decision.
+        if (st.unanimous && st.decision != st.input) {
+          st.flagged = true;
+          report({{}, kind, key, st.input_parties, sim.now(),
+                  "validity: unanimous honest input not decided"});
+        }
       }
     }
   }
@@ -277,10 +302,14 @@ class AgreementMonitor final : public InvariantMonitor {
  private:
   struct State {
     bool flagged = false;
-    std::map<int, Words> inputs;     // honest party → input payload
-    std::map<int, Words> decisions;  // honest party → decision payload
+    bool unanimous = true;   // every input equals `input`
+    PartySet input_parties;  // honest parties that gave an input
+    Words input;             // the first input
+    PartySet deciders;       // honest parties that decided
+    Words decision;          // every decision, until flagged
   };
-  std::map<std::pair<std::string, std::string>, State> state_;
+  // kind → key → state, so at_quiescence reports in (kind, key) order.
+  StateMap<StateMap<State>> state_;
 };
 
 // ---------------------------------------------------------------------------
@@ -299,7 +328,7 @@ class SharingMonitor final : public InvariantMonitor {
 
   void on_event(const ProtocolEvent& ev) override {
     if (ev.kind != "wss" && ev.kind != "vss") return;
-    State& st = state_[ev.key];
+    State& st = state_for(state_, ev.key);
     if (ev.input) {
       if (ev.honest && !st.has_input) {
         Reader r(ev.value);
@@ -320,8 +349,8 @@ class SharingMonitor final : public InvariantMonitor {
       bump_checks();
       if (f.degree() > ts) {
         st.flagged = true;
-        report({{}, ev.kind, ev.key, PartySet::of({ev.party}), ev.time,
-                "commitment: output row exceeds degree ts"});
+        report(ev, PartySet::of({ev.party}),
+               "commitment: output row exceeds degree ts");
         return;
       }
     }
@@ -333,9 +362,8 @@ class SharingMonitor final : public InvariantMonitor {
         bump_checks();
         if (out.rows[k].eval(Fp(0)) != st.row0s[k].eval(alpha)) {
           st.flagged = true;
-          report({{}, ev.kind, ev.key,
-                  PartySet::of({st.dealer, ev.party}), ev.time,
-                  "validity: share disagrees with the honest dealer's input"});
+          report(ev, PartySet::of({st.dealer, ev.party}),
+                 "validity: share disagrees with the honest dealer's input");
           return;
         }
       }
@@ -348,10 +376,9 @@ class SharingMonitor final : public InvariantMonitor {
         bump_checks();
         if (prev.rows[k].eval(a_cur) != out.rows[k].eval(a_prev)) {
           st.flagged = true;
-          report({{}, ev.kind, ev.key,
-                  PartySet::of({prev.party, ev.party}), ev.time,
-                  "commitment: rows of two honest parties are inconsistent "
-                  "(no single committed bivariate polynomial)"});
+          report(ev, PartySet::of({prev.party, ev.party}),
+                 "commitment: rows of two honest parties are inconsistent "
+                 "(no single committed bivariate polynomial)");
           return;
         }
       }
@@ -375,7 +402,7 @@ class SharingMonitor final : public InvariantMonitor {
     return r.seq<Polynomial>([](Reader& rr) { return Polynomial::decode(rr); });
   }
 
-  std::map<std::string, State> state_;
+  StateMap<State> state_;
 };
 
 // ---------------------------------------------------------------------------
@@ -389,7 +416,7 @@ class AcsMonitor final : public InvariantMonitor {
 
   void on_event(const ProtocolEvent& ev) override {
     if (ev.kind != "acs" || !ev.honest || ev.input) return;
-    State& st = state_[ev.key];
+    State& st = state_for(state_, ev.key);
     if (st.flagged) return;
     Reader r(ev.value);
     const PartySet com(r.u64());
@@ -397,15 +424,13 @@ class AcsMonitor final : public InvariantMonitor {
     bump_checks();
     if (com.size() < quorum) {
       st.flagged = true;
-      report({{}, ev.kind, ev.key, com, ev.time,
-              "common subset smaller than the n - ts quorum"});
+      report(ev, com, "common subset smaller than the n - ts quorum");
       return;
     }
     if (st.has_output && com != st.com) {
       st.flagged = true;
-      report({{}, ev.kind, ev.key,
-              PartySet::of({st.first_party, ev.party}), ev.time,
-              "agreement: two honest parties hold different common subsets"});
+      report(ev, PartySet::of({st.first_party, ev.party}),
+             "agreement: two honest parties hold different common subsets");
       return;
     }
     if (!st.has_output) {
@@ -421,7 +446,7 @@ class AcsMonitor final : public InvariantMonitor {
     PartySet com;
     int first_party = -1;
   };
-  std::map<std::string, State> state_;
+  StateMap<State> state_;
 };
 
 // ---------------------------------------------------------------------------
@@ -434,7 +459,7 @@ class MpcMonitor final : public InvariantMonitor {
 
   void on_event(const ProtocolEvent& ev) override {
     if (ev.kind != "mpc" || !ev.honest || ev.input) return;
-    State& st = state_[ev.key];
+    State& st = state_for(state_, ev.key);
     if (st.flagged) return;
     Reader r(ev.value);
     const auto outs = r.seq<std::pair<bool, std::uint64_t>>([](Reader& rr) {
@@ -447,9 +472,8 @@ class MpcMonitor final : public InvariantMonitor {
         bump_checks();
         if (outs[k].second != prev[k].second) {
           st.flagged = true;
-          report({{}, ev.kind, ev.key, PartySet::of({party, ev.party}),
-                  ev.time,
-                  "two honest parties reconstructed different output values"});
+          report(ev, PartySet::of({party, ev.party}),
+                 "two honest parties reconstructed different output values");
           return;
         }
       }
@@ -463,7 +487,7 @@ class MpcMonitor final : public InvariantMonitor {
     std::vector<std::pair<int, std::vector<std::pair<bool, std::uint64_t>>>>
         outputs;
   };
-  std::map<std::string, State> state_;
+  StateMap<State> state_;
 };
 
 // ---------------------------------------------------------------------------

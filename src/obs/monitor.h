@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/adversary.h"
@@ -39,11 +40,13 @@ namespace nampc::obs {
 
 /// One protocol-level input or output at one party, as reported by
 /// ProtocolInstance::notify_input / notify_output. `value` is a
-/// kind-specific canonical encoding (see the emitting protocol).
+/// kind-specific canonical encoding (see the emitting protocol). `kind` and
+/// `key` are views, valid only during on_event: a monitor that keeps an
+/// instance's state copies its key once, when it first sees the instance.
 struct ProtocolEvent {
-  bool input = false;  ///< true = input submitted, false = output delivered
-  std::string kind;    ///< span_kind tag ("acast", "bc", "ba", ...)
-  std::string key;     ///< hierarchical instance key, equal across parties
+  bool input = false;     ///< true = input submitted, false = output delivered
+  std::string_view kind;  ///< span_kind tag ("acast", "bc", "ba", ...)
+  std::string_view key;   ///< hierarchical instance key, equal across parties
   int party = -1;
   bool honest = true;
   Time time = 0;
@@ -62,8 +65,9 @@ struct Violation {
 
 class MonitorEngine;
 
-/// Base class for one invariant checker. Subclasses keep per-instance state
-/// keyed by ProtocolEvent::key and call report() when a guarantee breaks.
+/// Base class for one invariant checker. Subclasses keep one state record
+/// per instance, keyed by ProtocolEvent::key, and call report() when a
+/// guarantee breaks.
 class InvariantMonitor {
  public:
   virtual ~InvariantMonitor() = default;
@@ -83,6 +87,8 @@ class InvariantMonitor {
  protected:
   friend class MonitorEngine;
   void report(Violation v);
+  /// report() on the instance of `ev`, at its time.
+  void report(const ProtocolEvent& ev, PartySet parties, std::string detail);
   void bump_checks() { ++checks_; }
 
   /// Run context captured by MonitorEngine::bind; valid during a run.

@@ -21,6 +21,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "util/json.h"
 #include "util/thread_safety.h"
@@ -55,6 +56,7 @@ struct LogEvent {
 class Log {
  public:
   using Sink = std::function<void(const LogEvent&)>;
+  using ModuleLevels = std::map<std::string, LogLevel, std::less<>>;
 
   static LogLevel& level() {
     static LogLevel lvl = LogLevel::error;
@@ -63,8 +65,8 @@ class Log {
 
   /// Per-module overrides ("wss" → trace). An entry wins over the global
   /// level for events carrying that module tag.
-  static std::map<std::string, LogLevel>& module_levels() {
-    static std::map<std::string, LogLevel> levels;
+  static ModuleLevels& module_levels() {
+    static ModuleLevels levels;
     return levels;
   }
 
@@ -78,7 +80,7 @@ class Log {
 
   /// Effective check for a module-tagged event: module override if present,
   /// else the global level.
-  static bool enabled_for(const std::string& module, LogLevel lvl) {
+  static bool enabled_for(std::string_view module, LogLevel lvl) {
     const auto& mods = module_levels();
     if (!mods.empty() && !module.empty()) {
       const auto it = mods.find(module);
@@ -216,8 +218,8 @@ class LogLine {
   /// Context-carrying form used by NAMPC_PLOG via ProtocolInstance. The
   /// context strings are only copied when the event will actually be routed
   /// somewhere — a disabled level must not allocate on hot protocol paths.
-  LogLine(LogLevel lvl, std::int64_t vt, int party, const std::string& module,
-          const std::string& key)
+  LogLine(LogLevel lvl, std::int64_t vt, int party, std::string_view module,
+          std::string_view key)
       : console_(Log::enabled_for(module, lvl)), ring_(Log::ring_enabled(lvl)) {
     event_.level = lvl;
     if (console_ || ring_) {

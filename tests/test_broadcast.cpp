@@ -244,46 +244,56 @@ std::vector<CraftedAcast> craft_acast_traffic(Rng& rng, int n, PartyId sender) {
 }
 
 // Acast's body-keyed votes against the map-based reference, message for
-// message: party 0 runs Acast, everything it hears from parties 1..6 is
-// crafted, and party 1 holds a probe that records what party 0 sends.
+// message: party 0 runs Acast, everything it hears from parties 1..n-1 is
+// crafted, and party 1 holds a probe that records what party 0 sends. At
+// the infeasible point (4, 2, 2), n − ts < ts + 1, so party 0 can output
+// before it sends READY and an ECHO quorum after its output must still
+// make it send one.
 TEST(Acast, VotesMatchReferenceMapOnCraftedTraffic) {
-  const ProtocolParams params = testing::p7_2_1();
-  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    SCOPED_TRACE(seed);
-    auto sim = make_sim({.params = params, .seed = seed});
-    Rng rng(seed);
-    const auto sender = static_cast<PartyId>(
-        rng.next_below(3) == 0 ? 0 : 1 + rng.next_below(6));
-    const std::vector<CraftedAcast> log =
-        craft_acast_traffic(rng, params.n, sender);
+  for (const ProtocolParams params :
+       {testing::p7_2_1(), ProtocolParams{4, 2, 2}}) {
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << params.n << " seed=" << seed);
+      auto sim = make_sim({.params = params,
+                           .seed = seed,
+                           .allow_infeasible = !params.feasible()});
+      Rng rng(seed);
+      const auto sender = static_cast<PartyId>(
+          rng.next_below(3) == 0
+              ? 0
+              : 1 + rng.next_below(static_cast<Word>(params.n - 1)));
+      const std::vector<CraftedAcast> log =
+          craft_acast_traffic(rng, params.n, sender);
 
-    Acast& acast = sim->party(0).spawn<Acast>("acast", sender, nullptr);
-    RecvProbe& probe = sim->party(1).spawn<RecvProbe>("acast");
-    MapAcast ref(params, 0, sender);
-    if (sender == 0) {
-      acast.start({5, 6});
-      ref.send_all(kAcastInit, {5, 6});
-    }
-    for (const CraftedAcast& d : log) {
-      Message msg;
-      msg.from = d.from;
-      msg.to = 0;
-      msg.type = d.type;
-      msg.instance_id = acast.instance_id();
-      msg.instance_name = &acast.key();
-      msg.payload = d.payload;
-      sim->schedule_delivery(d.at, std::move(msg));
-      ref.queue[d.at].push_back({d.from, d.type, d.payload.words()});
-    }
-    EXPECT_EQ(sim->run(), RunStatus::quiescent);
-    ref.run();
+      Acast& acast = sim->party(0).spawn<Acast>("acast", sender, nullptr);
+      RecvProbe& probe = sim->party(1).spawn<RecvProbe>("acast");
+      MapAcast ref(params, 0, sender);
+      if (sender == 0) {
+        acast.start({5, 6});
+        ref.send_all(kAcastInit, {5, 6});
+      }
+      for (const CraftedAcast& d : log) {
+        Message msg;
+        msg.from = d.from;
+        msg.to = 0;
+        msg.type = d.type;
+        msg.instance_id = acast.instance_id();
+        msg.instance_name = &acast.key();
+        msg.payload = d.payload;
+        sim->schedule_delivery(d.at, std::move(msg));
+        ref.queue[d.at].push_back({d.from, d.type, d.payload.words()});
+      }
+      EXPECT_EQ(sim->run(), RunStatus::quiescent);
+      ref.run();
 
-    ASSERT_EQ(acast.has_output(), ref.output.has_value());
-    if (ref.output.has_value()) {
-      EXPECT_EQ(acast.output(), *ref.output);
-      EXPECT_EQ(acast.output_time(), ref.output_time);
+      ASSERT_EQ(acast.has_output(), ref.output.has_value());
+      if (ref.output.has_value()) {
+        EXPECT_EQ(acast.output(), *ref.output);
+        EXPECT_EQ(acast.output_time(), ref.output_time);
+      }
+      EXPECT_EQ(probe.seen, ref.sent);
     }
-    EXPECT_EQ(probe.seen, ref.sent);
   }
 }
 

@@ -12,6 +12,10 @@
 // protocol bug, not a monitor test).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string_view>
+
 #include "acs/acs.h"
 #include "adversary/scripted.h"
 #include "broadcast/acast.h"
@@ -375,6 +379,33 @@ TEST(MonitorSynthetic, AgreementSplitDecision) {
   EXPECT_TRUE(fired(eng, "agreement")) << describe(eng);
 }
 
+// The split is found whichever decider has the lower id, and the report
+// names the lowest earlier decider and the dissenter.
+TEST(MonitorSynthetic, AgreementSplitDecisionEitherOrder) {
+  const auto split = [](std::vector<std::pair<int, Word>> decisions) {
+    obs::MonitorEngine eng;
+    obs::install_standard_monitors(eng);
+    eng.set_context(p4_1_0(), NetworkKind::synchronous, PartySet{});
+    for (const auto& [party, bit] : decisions) {
+      eng.on_event(ev(false, "ba", "b", party, words_of({bit})));
+    }
+    return eng.violations();
+  };
+  const std::vector<std::pair<std::vector<std::pair<int, Word>>, PartySet>>
+      cases = {
+          {{{0, 0}, {1, 1}}, PartySet::of({0, 1})},
+          {{{1, 0}, {0, 1}}, PartySet::of({0, 1})},
+          {{{2, 0}, {3, 0}, {1, 1}}, PartySet::of({1, 2})},
+          {{{3, 1}, {2, 1}, {0, 1}, {1, 0}}, PartySet::of({0, 1})},
+      };
+  for (const auto& [decisions, parties] : cases) {
+    const std::vector<obs::Violation> found = split(decisions);
+    ASSERT_EQ(found.size(), 1u) << "first decider P" << decisions[0].first;
+    EXPECT_EQ(found[0].monitor, "agreement");
+    EXPECT_EQ(found[0].parties, parties) << found[0].parties.str();
+  }
+}
+
 TEST(MonitorSynthetic, AgreementTerminationAndValidity) {
   SimSpec spec;
   spec.params = p4_1_0();
@@ -432,6 +463,55 @@ TEST(MonitorSynthetic, MpcOutputMismatch) {
   eng.on_event(ev(false, "mpc", "m", 0, mpc_out(42)));
   eng.on_event(ev(false, "mpc", "m", 1, mpc_out(43)));
   EXPECT_TRUE(fired(eng, "mpc")) << describe(eng);
+}
+
+// Event kind/key views are valid only during on_event. Here both point into
+// one buffer that is overwritten after every call, so a monitor that kept
+// a view instead of its own copy would lose its state or name garbage.
+TEST(MonitorEngine, StateOwnsKeysBeyondEventViews) {
+  SimSpec spec;
+  spec.params = p4_1_0();
+  MonitoredSim ms = make_monitored_sim(spec);
+  obs::MonitorEngine& eng = *ms.monitors;
+  std::array<char, 32> buf{};
+  const auto feed = [&](bool input, std::string_view kind,
+                        std::string_view key, int party, Words value) {
+    ASSERT_LE(kind.size() + key.size(), buf.size());
+    std::ranges::copy(key, std::ranges::copy(kind, buf.begin()).out);
+    obs::ProtocolEvent e;
+    e.input = input;
+    e.kind = std::string_view(buf.data(), kind.size());
+    e.key = std::string_view(buf.data() + kind.size(), key.size());
+    e.party = party;
+    e.time = 1;
+    e.value = std::move(value);
+    eng.on_event(e);
+    buf.fill('#');
+  };
+  // Online: Acast consistency and BA agreement.
+  feed(false, "acast", "k/acast0", 2, words_of({1}));
+  feed(false, "acast", "k/acast0", 1, words_of({2}));
+  feed(false, "ba", "k/ba1", 0, words_of({1}));
+  feed(false, "ba", "k/ba1", 1, words_of({0}));
+  // At quiescence: BA termination and SBA validity.
+  for (int p = 0; p < 4; ++p) {
+    feed(true, "ba", "k/ba2", p, words_of({1}));
+    feed(true, "sba", "k/sba3", p, words_of({1, 0}));
+    feed(false, "sba", "k/sba3", p, words_of({0, 0}));
+    if (p < 3) feed(false, "ba", "k/ba2", p, words_of({1}));
+  }
+  EXPECT_EQ(eng.violations().size(), 2u) << describe(eng);
+  ASSERT_EQ(ms->run(), RunStatus::quiescent);
+  std::vector<std::pair<std::string, std::string>> named;
+  for (const obs::Violation& v : eng.violations()) {
+    named.emplace_back(v.kind, v.key);
+  }
+  EXPECT_EQ(named, (std::vector<std::pair<std::string, std::string>>{
+                       {"acast", "k/acast0"},
+                       {"ba", "k/ba1"},
+                       {"ba", "k/ba2"},
+                       {"sba", "k/sba3"}}))
+      << describe(eng);
 }
 
 TEST(MonitorSynthetic, BcSyncValidity) {

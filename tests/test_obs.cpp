@@ -30,7 +30,7 @@ using testing::SimSpec;
 
 struct LogStateGuard {
   LogLevel level = Log::level();
-  std::map<std::string, LogLevel> modules = Log::module_levels();
+  Log::ModuleLevels modules = Log::module_levels();
   ~LogStateGuard() {
     Log::level() = level;
     Log::module_levels() = modules;

@@ -11,6 +11,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/tracer.h"
 #include "sim_helpers.h"
 
 namespace nampc {
@@ -101,6 +102,50 @@ TEST(Sim, BuffersMessagesForUnregisteredInstances) {
   ASSERT_EQ(late->arrivals.size(), 1u);
   EXPECT_EQ(late->arrivals[0].type, 42);
   EXPECT_GE(late->arrivals[0].when, 100);
+}
+
+/// A tagged instance with one child, for the key-identity checks.
+class Parent : public ProtocolInstance {
+ public:
+  Parent(Party& party, std::string key)
+      : ProtocolInstance(party, std::move(key)),
+        child(make_child<Probe>("sub")) {
+    span_kind("parent");
+  }
+
+  void on_message(const Message&) override {}
+
+  Probe& child;
+};
+
+// An instance holds no key text of its own: every party's copy of a
+// logical instance reads the interner's one string, and a child's key is
+// parent/sub. A Simulation destroyed with its instances alive still closes
+// each trace span under its key.
+TEST(Sim, InstanceKeyIsTheInternedText) {
+  obs::Tracer tracer;  // must outlive the Simulation
+  {
+    auto sim = make_sim({.params = testing::p4_1_0()});
+    sim->set_tracer(&tracer);
+    std::vector<Parent*> roots;
+    for (int i = 0; i < 4; ++i) {
+      roots.push_back(&sim->party(i).spawn<Parent>("root"));
+    }
+    for (const Parent* root : roots) {
+      const Probe& child = root->child;
+      EXPECT_EQ(&root->key(), &sim->instance_name(root->instance_id()));
+      EXPECT_EQ(&child.key(), &sim->instance_name(child.instance_id()));
+      EXPECT_EQ(root->key(), "root");
+      EXPECT_EQ(child.key(), "root/sub");
+      EXPECT_EQ(child.instance_id(), roots[0]->child.instance_id());
+    }
+    EXPECT_EQ(sim->instance_count(), 2u);
+  }
+  ASSERT_EQ(tracer.spans().size(), 8u);
+  for (const obs::TraceSpan& span : tracer.spans()) {
+    EXPECT_TRUE(span.key == "root" || span.key == "root/sub") << span.key;
+    EXPECT_EQ(span.end, 0) << "P" << span.party << " " << span.key;
+  }
 }
 
 TEST(Sim, HonestMessagesCannotBeDroppedByAdversary) {
