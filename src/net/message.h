@@ -74,6 +74,11 @@ class Payload {
     return body_ != nullptr ? body_->words.size() : 0;
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
+  /// Body identity, not word equality: true when both hold the same body
+  /// (or both are empty). Equal words in distinct bodies compare false.
+  [[nodiscard]] bool same_body(const Payload& other) const {
+    return body_ == other.body_;
+  }
   [[nodiscard]] const Word* begin() const { return data(); }
   [[nodiscard]] const Word* end() const {
     return body_ != nullptr ? body_->words.data() + body_->words.size()

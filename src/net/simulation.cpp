@@ -1,6 +1,7 @@
 #include "net/simulation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -20,6 +21,9 @@ Simulation::Simulation(Config config, std::shared_ptr<Adversary> adversary)
       registry_(std::make_unique<obs::MetricsRegistry>()),
       rng_(config.seed) {
   if (!config_.allow_infeasible) config_.params.validate();
+  // Queued records hold a party id in 8 bits and a receiver window of 64.
+  NAMPC_REQUIRE(config_.params.n <= PartySet::kMaxParties,
+                "simulation supports at most 128 parties");
   registry_->bind(&metrics_, config_.params.n);
   NAMPC_REQUIRE(adversary_ != nullptr, "simulation needs an adversary");
   const PartySet corrupt = adversary_->corrupt_set();
@@ -71,26 +75,42 @@ Party& Simulation::party(PartyId id) {
   return *parties_[static_cast<std::size_t>(id)];
 }
 
-Simulation::Slot& Simulation::push_event(Time t, int klass, Queued ev) {
+Simulation::Slot& Simulation::slot_for(Time t, int klass) {
   NAMPC_REQUIRE(t >= now_, "cannot schedule in the past");
-  Slot& slot = calendar_[{t, klass}];
-  slot.events.push_back(std::move(ev));
   registry_->on_queue_depth(++pending_);
-  return slot;
+  return calendar_[{t, klass}];
 }
 
 void Simulation::schedule(Time t, std::function<void()> fn, int klass,
                           std::uint32_t owner, PartyId owner_party) {
-  push_event(t, klass, Queued{owner_party, kTimerMark, 0, owner, {}})
-      .timers.push_back(std::move(fn));
+  Slot& slot = slot_for(t, klass);
+  slot.events.push_back(Queued{static_cast<std::int8_t>(owner_party), 0, 0,
+                               owner, {}, /*receivers=*/0});
+  slot.timers.push_back(std::move(fn));
 }
 
 void Simulation::schedule_delivery(Time t, Message msg) {
-  // A valid receiver also keeps a delivery from reading as a timer record.
   NAMPC_REQUIRE(msg.to >= 0 && msg.to < n(), "delivery receiver out of range");
-  push_event(t, /*klass=*/0,
-             Queued{msg.from, msg.to, msg.type, msg.instance_id,
-                    std::move(msg.payload)});
+  NAMPC_REQUIRE(msg.type == static_cast<std::int16_t>(msg.type),
+                "message type out of the queued record's 16-bit range");
+  const auto base = static_cast<std::uint8_t>(msg.to & ~63);
+  const std::uint64_t bit = std::uint64_t{1} << (msg.to & 63);
+  Slot& slot = slot_for(t, /*klass=*/0);
+  if (!slot.events.empty()) {
+    // The merge rule on Queued: only the slot's last record, and only when
+    // the newcomer is above every receiver still pending in it.
+    Queued& last = slot.events.back();
+    if (last.receivers != 0 && last.receivers < bit && last.base == base &&
+        last.from == msg.from && last.type == msg.type &&
+        last.instance_id == msg.instance_id &&
+        last.payload.same_body(msg.payload)) {
+      last.receivers |= bit;
+      return;
+    }
+  }
+  slot.events.push_back(Queued{static_cast<std::int8_t>(msg.from), base,
+                               static_cast<std::int16_t>(msg.type),
+                               msg.instance_id, std::move(msg.payload), bit});
 }
 
 std::uint32_t Simulation::intern_instance(const std::string& key) {
@@ -127,25 +147,40 @@ void Simulation::dispatch_top() {
   const auto top = calendar_.begin();
   const auto [time, klass] = top->first;
   Slot& slot = top->second;
-  Queued ev = std::move(slot.events.front());
-  slot.events.pop_front();
-  const bool timer = ev.to == kTimerMark;
+  Queued& front = slot.events.front();
+  const bool timer = front.receivers == 0;
   std::function<void()> fn;
-  if (timer) fn = std::move(slot.timers[slot.next_timer++]);
+  Message msg;
+  msg.from = front.from;
+  msg.instance_id = front.instance_id;
+  if (timer) {
+    fn = std::move(slot.timers[slot.next_timer++]);
+    slot.events.pop_front();
+  } else {
+    // The lowest pending receiver; the record leaves with its last one.
+    msg.to = front.base + std::countr_zero(front.receivers);
+    msg.type = front.type;
+    msg.instance_name = &instance_name(front.instance_id);
+    front.receivers &= front.receivers - 1;
+    if (front.receivers != 0) {
+      msg.payload = front.payload;
+    } else {
+      msg.payload = std::move(front.payload);
+      slot.events.pop_front();
+    }
+  }
   if (slot.events.empty()) calendar_.erase(top);
   --pending_;
   registry_->advance_time(time);
   now_ = time;
   if (timer) {
-    registry_->on_dispatch(ev.instance_id, ev.from, /*delivery=*/false, klass,
-                           now_, 0);
+    registry_->on_dispatch(msg.instance_id, msg.from, /*delivery=*/false,
+                           klass, now_, 0);
     fn();
     return;
   }
-  registry_->on_dispatch(ev.instance_id, ev.to, /*delivery=*/true, ev.type,
-                         now_, ev.payload.size());
-  const Message msg{ev.from, ev.to, ev.type, ev.instance_id,
-                    &instance_name(ev.instance_id), std::move(ev.payload)};
+  registry_->on_dispatch(msg.instance_id, msg.to, /*delivery=*/true, msg.type,
+                         now_, msg.payload.size());
   party(msg.to).deliver(msg);
 }
 
@@ -196,9 +231,13 @@ obs::QueueStats Simulation::queue_stats() const {
   obs::QueueStats stats;
   stats.depth = pending_;
   for (const auto& [key, slot] : calendar_) {
-    stats.by_klass[key.second] += slot.events.size();
     for (const Queued& ev : slot.events) {
-      if (ev.to != kTimerMark) stats.deliveries_by_instance[ev.instance_id]++;
+      const auto receivers =
+          static_cast<std::uint64_t>(std::popcount(ev.receivers));
+      stats.by_klass[key.second] += ev.receivers == 0 ? 1 : receivers;
+      if (receivers != 0) {
+        stats.deliveries_by_instance[ev.instance_id] += receivers;
+      }
     }
   }
   if (!calendar_.empty()) stats.horizon = calendar_.rbegin()->first.first;

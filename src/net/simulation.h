@@ -13,9 +13,12 @@
 // calendar: an ordered map from (time, klass) to a FIFO of events. Its
 // first slot holds the next events, and appending to a slot's FIFO keeps
 // scheduling order within it, so no per-event sequence number is needed.
-// A queued event is a 24-byte record (a delivery's Message minus its
-// interned key text); a timer's record is marked by its `to` field, and
-// its callable waits in a second FIFO of the same slot, in the same order.
+// A queued event is a 24-byte record: a delivery's Message minus its
+// interned key text, with a receiver mask in place of `to`, so consecutive
+// copies of one fan-out that land in the same slot share a record (the
+// merge rule is on Simulation::Queued). A timer's record has an empty
+// mask, and its callable waits in a second FIFO of the same slot, in the
+// same order.
 //
 // Model enforcement (see adversary.h): honest→* messages cannot be dropped
 // or modified; in a synchronous network they arrive within Δ and in FIFO
@@ -191,8 +194,10 @@ class Simulation {
 
   /// Schedules a message delivery at absolute time t. Deliveries are queued
   /// inline as 24-byte records (klass 0) — no closure allocation on the hot
-  /// path, which at n = 64 runs tens of millions of times; the Message is
-  /// rebuilt at dispatch, its instance_name from the interner.
+  /// path, which at n = 64 runs tens of millions of times; a copy of the
+  /// slot's last fan-out joins its record when the merge rule on Queued
+  /// holds. The Message is rebuilt at dispatch, its instance_name from the
+  /// interner.
   void schedule_delivery(Time t, Message msg);
 
   /// Interns a protocol-instance routing key, returning its dense id.
@@ -251,18 +256,26 @@ class Simulation {
 
  private:
   /// One queued event; its (time, klass) is the calendar key. A delivery
-  /// is its Message's fields but the key text. A timer has `to` ==
-  /// kTimerMark and carries its cost attribution in the other fields: the
-  /// owner instance in `instance_id`, the owner party in `from`.
+  /// record is one or more deliveries that differ only in their receiver:
+  /// receiver `base + i` is pending while bit i of `receivers` is set, and
+  /// they dispatch lowest first. A new delivery joins the slot's last
+  /// record when that record is a delivery with the same sender, type,
+  /// instance and body (Payload::same_body), in the receiver's window, with
+  /// every pending receiver below the new one. Nothing was queued in the
+  /// slot after the record's pending receivers, so dispatching them in
+  /// ascending order and then the newcomer is exactly scheduling order.
+  /// A timer has an empty mask and carries its cost attribution in the
+  /// other fields: the owner instance in `instance_id`, the owner party in
+  /// `from`.
   struct Queued {
-    PartyId from;
-    PartyId to;
-    int type;
+    std::int8_t from;
+    std::uint8_t base;  // 0 or 64: parties are < PartySet::kMaxParties
+    std::int16_t type;
     std::uint32_t instance_id;
     Payload payload;
+    std::uint64_t receivers;
   };
   static_assert(sizeof(Queued) <= 24);
-  static constexpr PartyId kTimerMark = -1;
 
   /// One calendar slot. Each timer record in `events` owns the next
   /// not-yet-run callable in `timers` (both FIFOs keep scheduling order).
@@ -276,7 +289,8 @@ class Simulation {
 
   void audit_privacy() const;
 
-  Slot& push_event(Time t, int klass, Queued ev);
+  /// The slot for (t, klass), counting the event about to be queued in it.
+  Slot& slot_for(Time t, int klass);
 
   /// Pops and dispatches the earliest event (shared by run and run_one).
   void dispatch_top();
@@ -299,7 +313,8 @@ class Simulation {
   RunStatus last_status_ = RunStatus::quiescent;
   Rng rng_;
   Time now_ = 0;
-  // The event calendar (see the file comment); pending_ counts its events.
+  // The event calendar (see the file comment); pending_ counts its events,
+  // each pending receiver of a delivery record as one.
   std::map<std::pair<Time, int>, Slot> calendar_;
   std::uint64_t pending_ = 0;
   std::vector<std::unique_ptr<Party>> parties_;
@@ -445,8 +460,11 @@ class ProtocolInstance {
   void notify_output(Words value);
 
  public:
-  /// Context-carrying log line for NAMPC_PLOG (public so lambdas capturing
-  /// `this` inside subclasses can expand the macro).
+  /// Level check and context-carrying log line for NAMPC_PLOG (public so
+  /// lambdas capturing `this` inside subclasses can expand the macro).
+  [[nodiscard]] bool log_wanted(LogLevel lvl) const {
+    return detail::log_wanted(kind_, lvl);
+  }
   [[nodiscard]] detail::LogLine log_line(LogLevel lvl) {
     return detail::LogLine(lvl, now(), my_id(), kind_, key());
   }

@@ -8,7 +8,9 @@
 // switches to JSON-lines for machine consumption.
 //
 // Cost model: a disabled level is one integer compare (plus one map lookup
-// when per-module overrides are installed). A bounded ring buffer can
+// when per-module overrides are installed): both macros check the level
+// before they build a line, so a disabled line constructs nothing and
+// evaluates none of its `<<` operands. A bounded ring buffer can
 // additionally capture recent events at its own level; the simulator dumps
 // it when the event limit trips and NAMPC_ASSERT failures dump it before
 // throwing, so livelocks leave an actionable tail instead of silence.
@@ -208,53 +210,67 @@ class Log {
 };
 
 namespace detail {
-/// Collects one log line and routes it as a LogEvent on destruction.
+/// Whether a line at `lvl` tagged `module` ("" for none) goes anywhere:
+/// to the console (module override, else the global level) or the ring.
+inline bool log_wanted(std::string_view module, LogLevel lvl) {
+  return Log::enabled_for(module, lvl) || Log::ring_enabled(lvl);
+}
+
+/// Collects one log line and routes it as a LogEvent on destruction. The
+/// macros below build one only when log_wanted holds.
 class LogLine {
  public:
-  explicit LogLine(LogLevel lvl)
-      : console_(Log::enabled(lvl)), ring_(Log::ring_enabled(lvl)) {
+  explicit LogLine(LogLevel lvl) : console_(Log::enabled(lvl)) {
     event_.level = lvl;
   }
-  /// Context-carrying form used by NAMPC_PLOG via ProtocolInstance. The
-  /// context strings are only copied when the event will actually be routed
-  /// somewhere — a disabled level must not allocate on hot protocol paths.
+  /// Context-carrying form used by NAMPC_PLOG via ProtocolInstance.
   LogLine(LogLevel lvl, std::int64_t vt, int party, std::string_view module,
           std::string_view key)
-      : console_(Log::enabled_for(module, lvl)), ring_(Log::ring_enabled(lvl)) {
+      : console_(Log::enabled_for(module, lvl)) {
     event_.level = lvl;
-    if (console_ || ring_) {
-      event_.vt = vt;
-      event_.party = party;
-      event_.module = module;
-      event_.key = key;
-    }
+    event_.vt = vt;
+    event_.party = party;
+    event_.module = module;
+    event_.key = key;
   }
   ~LogLine() {
-    if (console_ || ring_) {
-      event_.text = os_.str();
-      Log::emit(std::move(event_), console_);
-    }
+    event_.text = os_.str();
+    Log::emit(std::move(event_), console_);
   }
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
 
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (console_ || ring_) os_ << v;
+    os_ << v;
     return *this;
   }
 
  private:
   bool console_;
-  bool ring_;
   LogEvent event_;
   std::ostringstream os_;
+};
+
+/// Turns a finished `LogLine << ...` chain into a void expression, so the
+/// macros can skip the whole chain in a conditional. `&` binds looser
+/// than `<<` and tighter than `?:`.
+struct LogVoidify {
+  void operator&(const LogLine& /*line*/) const {}
 };
 }  // namespace detail
 
 }  // namespace nampc
 
-#define NAMPC_LOG(lvl) ::nampc::detail::LogLine(::nampc::LogLevel::lvl)
+#define NAMPC_LOG(lvl)                                                  \
+  !::nampc::detail::log_wanted({}, ::nampc::LogLevel::lvl)              \
+      ? (void)0                                                         \
+      : ::nampc::detail::LogVoidify() &                                 \
+            ::nampc::detail::LogLine(::nampc::LogLevel::lvl)
 /// Context-rich logging inside a ProtocolInstance subclass: prefixes virtual
 /// time, party id, module kind and instance key centrally.
-#define NAMPC_PLOG(lvl) (this->log_line(::nampc::LogLevel::lvl))
+#define NAMPC_PLOG(lvl)                                                 \
+  !this->log_wanted(::nampc::LogLevel::lvl)                             \
+      ? (void)0                                                         \
+      : ::nampc::detail::LogVoidify() &                                 \
+            this->log_line(::nampc::LogLevel::lvl)

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -299,6 +300,76 @@ TEST(Obs, ModuleLevelFiltersOverrideGlobalLevel) {
 
   Log::set_module_level("wss", LogLevel::off);
   EXPECT_FALSE(Log::enabled_for("wss", LogLevel::error));
+}
+
+/// Logs one NAMPC_PLOG line (the macro needs a ProtocolInstance `this`).
+class Chatty : public ProtocolInstance {
+ public:
+  Chatty(Party& party, std::string key)
+      : ProtocolInstance(party, std::move(key)) {
+    span_kind("chat");
+  }
+  void on_message(const Message& /*msg*/) override {}
+  void trace_line(const std::function<std::string()>& operand) {
+    NAMPC_PLOG(trace) << "chat " << operand();
+  }
+};
+
+// Both macros check the level (module overrides and the ring included)
+// before they build a line: a disabled line evaluates none of its
+// operands, and an enabled or ring-captured line records the same text
+// and context as a line built unconditionally.
+TEST(Obs, DisabledLogLineEvaluatesNoOperand) {
+  LogStateGuard guard;
+  std::vector<LogEvent> seen;
+  Log::set_sink([&seen](const LogEvent& e) { seen.push_back(e); });
+  Log::level() = LogLevel::error;
+  int evaluated = 0;
+  const std::function<std::string()> operand = [&evaluated] {
+    ++evaluated;
+    return std::string("x");
+  };
+  auto sim = make_sim({.params = {4, 1, 0}});
+  Chatty& chat = sim->party(2).spawn<Chatty>("talk");
+
+  NAMPC_LOG(debug) << operand();
+  chat.trace_line(operand);
+  EXPECT_EQ(evaluated, 0);
+
+  // A module override enables the instance's lines, not plain ones.
+  Log::set_module_level("chat", LogLevel::trace);
+  NAMPC_LOG(trace) << operand();
+  EXPECT_EQ(evaluated, 0);
+  chat.trace_line(operand);
+  EXPECT_EQ(evaluated, 1);
+  Log::level() = LogLevel::info;
+  NAMPC_LOG(info) << "n=" << 4 << ' ' << operand();
+  EXPECT_EQ(evaluated, 2);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].level, LogLevel::trace);
+  EXPECT_EQ(seen[0].text, "chat x");
+  EXPECT_EQ(seen[0].vt, 0);
+  EXPECT_EQ(seen[0].party, 2);
+  EXPECT_EQ(seen[0].module, "chat");
+  EXPECT_EQ(seen[0].key, "talk");
+  EXPECT_EQ(seen[1].text, "n=4 x");
+  EXPECT_EQ(seen[1].party, -1);
+  EXPECT_TRUE(seen[1].module.empty());
+
+  // The ring alone wants trace lines: they are built and captured, and
+  // the console still gets nothing.
+  Log::module_levels().clear();
+  Log::level() = LogLevel::error;
+  Log::set_ring(4, LogLevel::trace);
+  chat.trace_line(operand);
+  NAMPC_LOG(trace) << operand();
+  EXPECT_EQ(evaluated, 4);
+  EXPECT_EQ(seen.size(), 2u);
+  std::ostringstream dump;
+  EXPECT_EQ(Log::dump_ring(dump), 2u);
+  EXPECT_EQ(dump.str(),
+            "--- last 2 log events ---\n[t=0 P2 chat talk] chat x\nx\n"
+            "--- end of log ring ---\n");
 }
 
 TEST(Obs, TracerDisabledIsInert) {

@@ -2,15 +2,19 @@
 // model enforcement, event ordering, timer-closure lifetimes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <queue>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "sim_helpers.h"
 
@@ -369,16 +373,20 @@ TEST(Sim, CorruptSenderMayExceedDeltaInSync) {
   EXPECT_EQ(b.arrivals[0].when, 9999);
 }
 
-/// Forwards every delivery's type (an event id) to a shared callback.
+/// Hands every delivery to a shared callback; tagged so a flight record
+/// counts its pending deliveries under one kind.
 class Recorder : public ProtocolInstance {
  public:
-  Recorder(Party& party, std::string key, std::function<void(int)> on_id)
-      : ProtocolInstance(party, std::move(key)), on_id_(std::move(on_id)) {}
+  Recorder(Party& party, std::string key,
+           std::function<void(const Message&)> on_msg)
+      : ProtocolInstance(party, std::move(key)), on_msg_(std::move(on_msg)) {
+    span_kind("recorder");
+  }
 
-  void on_message(const Message& msg) override { on_id_(msg.type); }
+  void on_message(const Message& msg) override { on_msg_(msg); }
 
  private:
-  std::function<void(int)> on_id_;
+  std::function<void(const Message&)> on_msg_;
 };
 
 // The dispatch-order contract against its reference model: a binary heap
@@ -421,7 +429,8 @@ TEST(Sim, EventOrderMatchesReferenceHeap) {
   };
   std::vector<Recorder*> recorders;
   for (int i = 0; i < 4; ++i) {
-    recorders.push_back(&sim->party(i).spawn<Recorder>("rec", on_dispatch));
+    recorders.push_back(&sim->party(i).spawn<Recorder>(
+        "rec", [&on_dispatch](const Message& msg) { on_dispatch(msg.type); }));
   }
   add = [&](Time t, int klass, bool delivery) {
     const int id = static_cast<int>(klass_of.size());
@@ -476,6 +485,228 @@ TEST(Sim, EventOrderMatchesReferenceHeap) {
   while (capped.run_one()) {
   }
   EXPECT_EQ(ran, (std::vector<Time>{10, 49, 50, 60}));
+}
+
+/// One dispatched event as the reference model predicts it. A timer has
+/// from = to = -1 and its id in `type`; a delivery names its body by
+/// address, so a copy that arrives with another (equal-worded) body
+/// differs.
+struct Dispatch {
+  Time time;
+  PartyId from;
+  PartyId to;
+  int type;
+  const Word* body;
+  bool operator==(const Dispatch&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Dispatch& d) {
+  return os << "{t=" << d.time << " from=" << d.from << " to=" << d.to
+            << " type=" << d.type << " body=" << d.body << "}";
+}
+
+/// Fan-out traffic at n = 128 next to a reference heap over (time, klass,
+/// scheduling sequence) with one entry per delivery. The shapes are the
+/// ones the receiver-mask records must keep apart or merge in order:
+/// fan-outs across the 64-receiver window, equal-key sends interleaved
+/// with other keys and klass-0 timers, repeated and descending receivers,
+/// and copies with distinct bodies of equal words (a garbling rewrite's).
+/// With `react` set, some handlers send into the slot being drained.
+class FanOutTraffic {
+ public:
+  FanOutTraffic(std::uint64_t max_events, bool react)
+      : react_(react), rng_(2026) {
+    Simulation::Config cfg;
+    cfg.params = {128, 1, 0};
+    cfg.max_events = max_events;
+    sim_ = std::make_unique<Simulation>(cfg, std::make_shared<Adversary>());
+    for (int i = 0; i < sim_->n(); ++i) {
+      sinks_.push_back(&sim_->party(i).spawn<Recorder>(
+          "sink", [this](const Message& msg) { on_delivery(msg); }));
+    }
+    for (int batch = 0; batch < 160; ++batch) {
+      add_batch(static_cast<Time>(rng_.next_below(30)));
+    }
+  }
+
+  // Its instances and timers call back into it.
+  FanOutTraffic(const FanOutTraffic&) = delete;
+  FanOutTraffic& operator=(const FanOutTraffic&) = delete;
+
+  Simulation& sim() { return *sim_; }
+  std::vector<Dispatch> dispatched;
+  std::vector<Dispatch> expected;
+  std::size_t reference_peak = 0;
+
+  /// Pops the rest of the reference heap: pending events per klass, and
+  /// the deliveries among them.
+  std::pair<std::map<int, std::uint64_t>, std::uint64_t> drain_reference() {
+    std::map<int, std::uint64_t> by_klass;
+    std::uint64_t deliveries = 0;
+    for (; !reference_.empty(); reference_.pop()) {
+      by_klass[reference_.top().klass]++;
+      if (reference_.top().ev.to >= 0) ++deliveries;
+    }
+    return {by_klass, deliveries};
+  }
+
+ private:
+  struct Ref {
+    int klass;
+    std::uint64_t seq;
+    Dispatch ev;
+    bool operator>(const Ref& o) const {
+      return std::tie(ev.time, klass, seq) >
+             std::tie(o.ev.time, o.klass, o.seq);
+    }
+  };
+
+  static constexpr std::size_t kBudget = 40000;
+
+  void deliver(Time t, PartyId from, PartyId to, int type,
+               const Payload& body) {
+    push({0, seq_++, {t, from, to, type, body.data()}});
+    Message msg;
+    msg.from = from;
+    msg.to = to;
+    msg.type = type;
+    msg.instance_id = sinks_[0]->instance_id();
+    msg.instance_name = &sinks_[0]->key();
+    msg.payload = body;
+    sim_->schedule_delivery(t, std::move(msg));
+  }
+
+  void timer(Time t, int klass) {
+    const int id = next_timer_++;
+    push({klass, seq_++, {t, -1, -1, id, nullptr}});
+    sim_->schedule(
+        t, [this, id] { record({sim_->now(), -1, -1, id, nullptr}); }, klass);
+  }
+
+  void push(const Ref& ref) {
+    reference_.push(ref);
+    reference_peak = std::max(reference_peak, reference_.size());
+  }
+
+  void record(const Dispatch& got) {
+    dispatched.push_back(got);
+    ASSERT_FALSE(reference_.empty());
+    expected.push_back(reference_.top().ev);
+    reference_.pop();
+  }
+
+  [[nodiscard]] PartyId any_party() {
+    return static_cast<PartyId>(rng_.next_below(128));
+  }
+  [[nodiscard]] int any_type() { return 1 + static_cast<int>(rng_.next_below(3)); }
+  [[nodiscard]] const Payload& any_body() {
+    return bodies_[rng_.next_below(bodies_.size())];
+  }
+
+  void add_batch(Time t) {
+    const PartyId from = any_party();
+    const int type = any_type();
+    const Payload& body = any_body();
+    switch (rng_.next_below(5)) {
+      case 0:  // a whole fan-out, receivers on both sides of 64
+        for (PartyId to = 0; to < 128; ++to) deliver(t, from, to, type, body);
+        break;
+      case 1:  // ascending subset, with repeats and descending steps
+        for (PartyId to = 0; to < 128; ++to) {
+          if (rng_.next_below(3) != 0) continue;
+          deliver(t, from, to, type, body);
+          if (rng_.next_below(8) == 0) deliver(t, from, to, type, body);
+          if (rng_.next_below(8) == 0 && to > 0) {
+            deliver(t, from, to - 1, type, body);
+          }
+        }
+        break;
+      case 2:  // garbled copies: equal words, two bodies
+        for (PartyId to = 0; to < 128; ++to) {
+          deliver(t, from, to, type, bodies_[rng_.next_below(2)]);
+        }
+        break;
+      case 3: {  // one key interleaved with another and with klass-0 timers
+        const PartyId other = any_party();
+        for (PartyId to = 0; to < 128; ++to) {
+          deliver(t, from, to, type, body);
+          const auto roll = rng_.next_below(10);
+          if (roll == 0) deliver(t, other, to, type, body);
+          if (roll == 1) deliver(t, from, to, type + 1, body);
+          if (roll == 2) timer(t, 0);
+        }
+        break;
+      }
+      default:
+        timer(t, static_cast<int>(rng_.next_below(4)));
+        break;
+    }
+  }
+
+  void on_delivery(const Message& msg) {
+    record({sim_->now(), msg.from, msg.to, msg.type, msg.payload.data()});
+    if (!react_ || msg.to % 9 != 0 || seq_ >= kBudget) return;
+    // Copies of this very message into the slot being drained: above,
+    // equal to and below its receiver, so some join its record and some
+    // must not.
+    for (const PartyId to :
+         {msg.to + 1, msg.to + 40, msg.to, msg.to - 3, msg.to + 70}) {
+      if (to >= 0 && to < 128) {
+        deliver(sim_->now(), msg.from, to, msg.type, msg.payload);
+      }
+    }
+    if (rng_.next_below(4) == 0) timer(sim_->now(), 0);
+    if (rng_.next_below(3) == 0) {
+      add_batch(sim_->now() + static_cast<Time>(rng_.next_below(5)));
+    }
+  }
+
+  bool react_;
+  Rng rng_;
+  std::unique_ptr<Simulation> sim_;
+  std::vector<Recorder*> sinks_;
+  // The first two are equal words in distinct bodies.
+  const std::vector<Words> values_{{7, 7}, {7, 7}, {1, 2, 3}, {}};
+  const std::vector<Payload> bodies_ =
+      std::vector<Payload>(values_.begin(), values_.end());
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<>> reference_;
+  std::uint64_t seq_ = 0;
+  int next_timer_ = 0;
+};
+
+// Copies of one fan-out that land in one slot share a queued record. The
+// records must dispatch exactly what one record per delivery would, in the
+// same order, and the queue must count each pending receiver once.
+TEST(Sim, FanOutRecordsMatchReferenceHeap) {
+  FanOutTraffic traffic(/*max_events=*/200'000'000, /*react=*/true);
+  EXPECT_EQ(traffic.sim().run(), RunStatus::quiescent);
+  EXPECT_GT(traffic.dispatched.size(), 20000u);
+  ASSERT_EQ(traffic.dispatched.size(), traffic.expected.size());
+  for (std::size_t i = 0; i < traffic.dispatched.size(); ++i) {
+    ASSERT_EQ(traffic.dispatched[i], traffic.expected[i])
+        << "first divergence at step " << i;
+  }
+  EXPECT_EQ(traffic.drain_reference().first.size(), 0u);
+  EXPECT_EQ(traffic.sim().metrics().peak_queue_depth, traffic.reference_peak);
+}
+
+TEST(Sim, FanOutRecordsCountEachPendingReceiver) {
+  constexpr std::uint64_t kTrip = 5000;
+  FanOutTraffic traffic(kTrip, /*react=*/false);
+  EXPECT_EQ(traffic.sim().run(), RunStatus::event_limit);
+  ASSERT_EQ(traffic.dispatched.size(), kTrip);
+  EXPECT_EQ(traffic.dispatched, traffic.expected);
+  const obs::MetricsRegistry& reg = traffic.sim().metrics_registry();
+  ASSERT_TRUE(reg.flight().has_value());
+  const obs::FlightRecord& rec = *reg.flight();
+  const auto [by_klass, deliveries] = traffic.drain_reference();
+  std::uint64_t depth = 0;
+  for (const auto& [klass, count] : by_klass) depth += count;
+  EXPECT_EQ(rec.queue_depth, depth);
+  EXPECT_EQ(rec.queue_by_klass, by_klass);
+  EXPECT_EQ(rec.queue_by_kind,
+            (std::vector<std::pair<std::string, std::uint64_t>>{
+                {"recorder", deliveries}}));
 }
 
 /// Counts what happens to one timer closure: runs, copies, and the

@@ -3,7 +3,8 @@
 #   1. Coverage: every `T_*` formula and every "Protocol x.y" / "Theorem x.y"
 #      token cited in DESIGN.md must appear in docs/PAPER_MAP.md.
 #   2. Anchors: every `path#symbol` anchor in docs/PAPER_MAP.md must name an
-#      existing file that contains the symbol string verbatim.
+#      existing file that contains the symbol string verbatim, and an anchor
+#      followed by a "(line N)" hint must have the symbol on line N.
 #   3. Thresholds: every LINT:threshold(<area>.<name>) symbol annotated in
 #      src/ must appear in docs/PAPER_MAP.md (the "Threshold symbols"
 #      section) and in docs/THRESHOLDS.json.
@@ -64,6 +65,25 @@ if [[ $count -lt 10 ]]; then
   fail=1
 fi
 
+hints=$(grep -oE '`[^`#]+#[^`]+` \(line [0-9]+\)' "$MAP" | sort -u)
+hintcount=0
+while IFS= read -r hint; do
+  [[ -z "$hint" ]] && continue
+  anchor=${hint#\`}
+  anchor=${anchor%%\`*}
+  line=${hint##*(line }
+  line=${line%)}
+  path=${anchor%%#*}
+  symbol=${anchor#*#}
+  [[ -f "$path" ]] || continue  # already reported as DANGLING
+  hintcount=$((hintcount + 1))
+  if ! sed -n "${line}p" "$path" | grep -qF "$symbol"; then
+    echo "STALE HINT: '$symbol' is not on line $line of $path" \
+         "(anchor \`$anchor\`)"
+    fail=1
+  fi
+done <<< "$hints"
+
 # --- 3. threshold symbols: annotations must be mapped and tabled -----------
 # The dotted <area>.<name> requirement skips the grammar placeholders in
 # src/lint's doc comments (LINT:threshold(symbol)).
@@ -92,7 +112,7 @@ if [[ $symcount -lt 10 ]]; then
 fi
 
 if [[ $fail -eq 0 ]]; then
-  echo "check_paper_map: OK ($count anchors, $symcount threshold symbols," \
-       "all DESIGN.md citations mapped)"
+  echo "check_paper_map: OK ($count anchors, $hintcount line hints," \
+       "$symcount threshold symbols, all DESIGN.md citations mapped)"
 fi
 exit $fail
