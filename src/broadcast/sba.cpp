@@ -126,22 +126,30 @@ void Sba::run_exchange(int phase) {
 }
 
 void Sba::on_message(const Message& msg) {
+  // A malformed payload is dropped here, before any state changes, without
+  // a DecodeError: a garbling party sends one every round (DESIGN.md §10).
   Reader r(msg.payload);
-  const int phase = static_cast<int>(r.u64());
+  const std::optional<Word> phase_word = r.try_u64();
+  if (!phase_word.has_value()) return;
+  const int phase = static_cast<int>(*phase_word);
   // LINT:threshold(sba.phase_count)
   if (phase < 0 || phase > params().ts) return;
   // The value (encode_value's layout) is read in place and copied only when
-  // it is kept; a malformed one throws before any state changes.
-  Reader value(r.view());
-  const bool present = value.boolean();
-  const std::span<const Word> body = value.view();
+  // it is kept.
+  const std::optional<std::span<const Word>> value_words = r.try_view();
+  if (!value_words.has_value()) return;
+  Reader value(*value_words);
+  const std::optional<Word> flag = value.try_u64();
+  const std::optional<std::span<const Word>> body = value.try_view();
+  if (!flag.has_value() || !body.has_value()) return;
+  const bool present = *flag != 0;
   const auto same = [&](const SbaValue& v) {
     return v.has_value() == present &&
-           (!present || std::ranges::equal(*v, body));
+           (!present || std::ranges::equal(*v, *body));
   };
   const auto copy = [&]() -> SbaValue {
     if (!present) return std::nullopt;
-    return Words(body.begin(), body.end());
+    return Words(body->begin(), body->end());
   };
   if (msg.type == kExchange) {
     if (phase < tallied_) return;  // its tally has run

@@ -2,12 +2,15 @@
 //
 // All protocol payloads are sequences of 64-bit words (field elements fit in
 // one word; small integers, set bitmaps and tags likewise). Writer/Reader
-// give a checked, append/consume interface; Reader throws on truncation so a
-// malformed (adversarially injected) payload surfaces as a decode failure
-// the protocol code can treat as misbehaviour rather than UB.
+// give a checked, append/consume interface, so a malformed (adversarially
+// injected) payload surfaces as a decode failure the protocol code can treat
+// as misbehaviour rather than UB. Reader's try_* reads report it as nullopt,
+// for per-message handlers that drop such a payload in place; the other
+// reads throw DecodeError, for multi-step decoders (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -63,22 +66,41 @@ class Reader {
  public:
   explicit Reader(std::span<const Word> words) : words_(words) {}
 
-  [[nodiscard]] std::uint64_t u64() {
-    if (pos_ >= words_.size()) throw DecodeError("payload truncated");
+  /// Next word, or nullopt at the end of the payload.
+  [[nodiscard]] std::optional<std::uint64_t> try_u64() {
+    if (pos_ >= words_.size()) return std::nullopt;
     return words_[pos_++];
+  }
+
+  /// Length-prefixed word vector, returned as a view into the payload
+  /// rather than a copy: valid only while the payload lives. nullopt, with
+  /// the position unchanged, when the length word is missing or counts more
+  /// words than follow it.
+  [[nodiscard]] std::optional<std::span<const Word>> try_view() {
+    const std::size_t start = pos_;
+    const std::optional<std::uint64_t> len = try_u64();
+    if (!len.has_value() || !fits(*len)) {
+      pos_ = start;
+      return std::nullopt;
+    }
+    const std::span<const Word> v = words_.subspan(pos_, *len);
+    pos_ += *len;
+    return v;
+  }
+
+  [[nodiscard]] std::uint64_t u64() {
+    const std::optional<std::uint64_t> v = try_u64();
+    if (!v.has_value()) throw DecodeError("payload truncated");
+    return *v;
   }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] bool boolean() { return u64() != 0; }
 
-  /// Length-prefixed word vector, returned as a view into the payload
-  /// rather than a copy: valid only while the payload lives. Throws on the
-  /// same inputs as vec().
+  /// try_view() that throws where it returns nullopt.
   [[nodiscard]] std::span<const Word> view() {
-    const std::uint64_t len = u64();
-    if (len > words_.size() - pos_) throw DecodeError("bad vector length");
-    const std::span<const Word> v = words_.subspan(pos_, len);
-    pos_ += len;
-    return v;
+    const std::optional<std::span<const Word>> v = try_view();
+    if (!v.has_value()) throw DecodeError("bad vector length");
+    return *v;
   }
 
   [[nodiscard]] Words vec() {
@@ -89,7 +111,7 @@ class Reader {
   template <typename T, typename Fn>
   [[nodiscard]] std::vector<T> seq(Fn&& decode_one) {
     const std::uint64_t len = u64();
-    if (len > words_.size() - pos_) throw DecodeError("bad sequence length");
+    if (!fits(len)) throw DecodeError("bad sequence length");
     std::vector<T> items;
     items.reserve(len);
     for (std::uint64_t i = 0; i < len; ++i) items.push_back(decode_one(*this));
@@ -100,6 +122,11 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const { return words_.size() - pos_; }
 
  private:
+  /// A just-read length word's count fits in the words after it.
+  [[nodiscard]] bool fits(std::uint64_t len) const {
+    return len <= words_.size() - pos_;
+  }
+
   std::span<const Word> words_;
   std::size_t pos_ = 0;
 };

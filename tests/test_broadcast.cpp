@@ -12,6 +12,7 @@
 #include "broadcast/ba.h"
 #include "broadcast/bc.h"
 #include "broadcast/sba.h"
+#include "field/fp.h"
 #include "sim_helpers.h"
 
 namespace nampc {
@@ -554,6 +555,81 @@ TEST(Sba, TallyMatchesReferenceOnCraftedTraffic) {
     ASSERT_TRUE(sba.has_output());
     EXPECT_EQ(sba.output(), expected);
     EXPECT_EQ(probe.seen, ref.sent);
+  }
+}
+
+/// The malformed shapes craft_sba_traffic builds, then honest ⊥ and
+/// non-⊥ payloads garbled the way ScriptedAdversary::garble_on does it.
+std::vector<Words> malformed_sba_payloads(Word phase) {
+  std::vector<Words> out = {{},
+                            {phase},
+                            {phase, 9, 1, 0},
+                            sba_payload(phase, {1}),
+                            sba_payload(phase, {1, 5, 7})};
+  for (const SbaValue& v : {SbaValue(std::nullopt), SbaValue(Words{5, 6})}) {
+    Words garbled = sba_payload(phase, sba_encode(v));
+    for (Word& w : garbled) w = (Fp(w) + Fp(1)).value();
+    out.push_back(std::move(garbled));
+  }
+  return out;
+}
+
+// Sba::on_message called directly, not through Party::deliver's catch, with
+// every malformed payload from every other party for every phase, as both
+// EXCHANGE and KING, on every Δ tick: each call returns without throwing
+// and changes nothing, so party 0 outputs and sends what it does on the
+// crafted traffic alone.
+TEST(Sba, MalformedPayloadReturnsWithoutThrowing) {
+  const ProtocolParams params = testing::p7_2_1();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    struct Run {
+      SbaValue output;
+      std::vector<std::pair<int, Words>> sent;
+    };
+    const auto run = [&](bool inject) {
+      auto sim = make_sim({.params = params, .seed = seed});
+      const Time delta = sim->timing().delta;
+      Rng rng(seed);
+      const std::vector<CraftedDelivery> log =
+          craft_sba_traffic(rng, params.n, params.ts, delta);
+      Sba& sba = sim->party(0).spawn<Sba>("sba", nullptr);
+      RecvProbe& probe = sim->party(1).spawn<RecvProbe>("sba");
+      sba.start(rng.next_bool() ? SbaValue(Words{5, 6}) : std::nullopt);
+      const auto message = [&](PartyId from, int type, Words payload) {
+        Message msg;
+        msg.from = from;
+        msg.to = 0;
+        msg.type = type;
+        msg.instance_id = sba.instance_id();
+        msg.instance_name = &sba.key();
+        msg.payload = std::move(payload);
+        return msg;
+      };
+      for (const CraftedDelivery& d : log) {
+        sim->schedule_delivery(d.at, message(d.from, d.type, d.payload));
+      }
+      for (Time t = 0; inject && t < 2 * (params.ts + 1) * delta; t += delta) {
+        sim->schedule(t, [&] {
+          for (Word phase = 0; phase <= static_cast<Word>(params.ts); ++phase) {
+            for (const Words& payload : malformed_sba_payloads(phase)) {
+              for (PartyId from = 1; from < params.n; ++from) {
+                for (const int type : {kSbaExchange, kSbaKing}) {
+                  EXPECT_NO_THROW(sba.on_message(message(from, type, payload)));
+                }
+              }
+            }
+          }
+        });
+      }
+      EXPECT_EQ(sim->run(), RunStatus::quiescent);
+      EXPECT_TRUE(sba.has_output());
+      return Run{sba.has_output() ? sba.output() : std::nullopt, probe.seen};
+    };
+    const Run clean = run(false);
+    const Run injected = run(true);
+    EXPECT_EQ(injected.output, clean.output);
+    EXPECT_EQ(injected.sent, clean.sent);
   }
 }
 

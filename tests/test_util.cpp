@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <set>
 #include <span>
 #include <sstream>
@@ -71,6 +72,100 @@ TEST(Codec, ViewAliasesPayload) {
     Reader as_vec(bad);
     EXPECT_THROW((void)as_view.view(), DecodeError);
     EXPECT_THROW((void)as_vec.vec(), DecodeError);
+  }
+}
+
+enum class Read { word, view };
+
+/// Reads `words` by `plan` with the throwing and the try_* reads side by
+/// side, up to the first failure: each try_* read is nullopt exactly where
+/// its throwing twin throws, then leaves the position unchanged; otherwise
+/// both return the same word or span and leave the same position.
+void expect_try_reads_agree(const Words& words, const std::vector<Read>& plan) {
+  Reader throwing(words);
+  Reader trying(words);
+  for (const Read read : plan) {
+    const std::size_t before = trying.remaining();
+    bool threw = false;
+    bool agree = false;
+    if (read == Read::word) {
+      const std::optional<std::uint64_t> tried = trying.try_u64();
+      try {
+        const std::uint64_t w = throwing.u64();
+        agree = tried == w;
+      } catch (const DecodeError&) {
+        threw = true;
+        agree = !tried.has_value();
+      }
+    } else {
+      const std::optional<std::span<const Word>> tried = trying.try_view();
+      try {
+        const std::span<const Word> v = throwing.view();
+        agree = tried.has_value() && tried->data() == v.data() &&
+                tried->size() == v.size();
+      } catch (const DecodeError&) {
+        threw = true;
+        agree = !tried.has_value();
+      }
+    }
+    ASSERT_TRUE(agree);
+    if (threw) {
+      EXPECT_EQ(trying.remaining(), before);
+      return;
+    }
+    ASSERT_EQ(trying.remaining(), throwing.remaining());
+  }
+}
+
+TEST(Codec, TryReadsAgreeWithThrowingReads) {
+  struct Encoding {
+    Words words;
+    std::vector<Read> plan;
+  };
+  std::vector<Encoding> encodings;
+  {
+    Writer w;  // a Π_SBA EXCHANGE/KING payload: phase, then the value
+    w.u64(1).vec({1, 2, 5, 6});
+    encodings.push_back({std::move(w).take(), {Read::word, Read::view}});
+  }
+  for (const Words& body : {Words{5, 6}, Words{}}) {
+    Writer w;  // a Π_SBA value: present flag, then the body
+    w.boolean(!body.empty()).vec(body);
+    encodings.push_back({std::move(w).take(), {Read::word, Read::view}});
+  }
+  {
+    Writer w;
+    w.vec({1, 2, 3}).vec({}).u64(7).vec({9}).u64(8);
+    encodings.push_back(
+        {std::move(w).take(),
+         {Read::view, Read::view, Read::word, Read::view, Read::word}});
+  }
+  for (const Encoding& e : encodings) {
+    // The length words: the word each view starts at.
+    std::vector<std::size_t> length_words;
+    Reader r(e.words);
+    for (const Read read : e.plan) {
+      if (read == Read::view) {
+        length_words.push_back(e.words.size() - r.remaining());
+        (void)r.view();
+      } else {
+        (void)r.u64();
+      }
+    }
+    ASSERT_TRUE(r.done());
+    for (std::size_t len = 0; len <= e.words.size(); ++len) {
+      SCOPED_TRACE(len);
+      expect_try_reads_agree(Words(e.words.begin(), e.words.begin() + len),
+                             e.plan);
+    }
+    for (const std::size_t at : length_words) {
+      for (const Word delta : {Word{1}, ~Word{0}}) {  // +1 and -1, mod 2^64
+        SCOPED_TRACE(at);
+        Words changed = e.words;
+        changed[at] += delta;
+        expect_try_reads_agree(changed, e.plan);
+      }
+    }
   }
 }
 
